@@ -162,9 +162,8 @@ fn smoke() {
         Err(resilience_failures) => failures.extend(resilience_failures),
     }
     // Persistent decode pool in smoke mode: a multi-frame tiled stream
-    // through threads(4) pooled ≡ spawn-per-call ≡ serial, and the warm
-    // pooled decode must spawn zero threads — the amortization contract
-    // on every PR.
+    // through threads(4) pooled ≡ serial, and the warm pooled decode
+    // must spawn zero threads — the amortization contract on every PR.
     match tepics_bench::experiments::throughput::smoke() {
         Ok(summary) => eprintln!("{summary}"),
         Err(pool_failures) => failures.extend(pool_failures),

@@ -7,6 +7,8 @@
 //! the full-frame CA strategy against 8×8 block-based Bernoulli CS on
 //! the same sensor front end (identical code images).
 
+use std::sync::Arc;
+
 use crate::report::{section, Table};
 use tepics_core::batch::BatchRunner;
 use tepics_core::pipeline::evaluate_with_cache;
@@ -43,14 +45,15 @@ pub fn run() -> String {
         // grades against the same ideal codes; the wire round-trip it
         // adds is lossless).
         let runner = BatchRunner::new();
+        let (scene, cache) = (Arc::new(scene), runner.cache().clone());
         let full = runner
-            .run_jobs(&ratios, |&r| {
+            .run_jobs(ratios.to_vec(), move |r| {
                 let imager = CompressiveImager::builder(side, side)
                     .ratio(r)
                     .seed(0xFFB)
                     .fidelity(Fidelity::Functional)
                     .build()?;
-                evaluate_with_cache(runner.cache(), &imager, |_| {}, &scene)
+                evaluate_with_cache(&cache, &imager, |_| {}, &scene)
             })
             .expect("full-frame sweep pipeline");
         // Block baseline on the same code images, fanned across the

@@ -1,33 +1,21 @@
-//! (infrastructure) Streaming decode throughput: persistent pool vs
-//! spawn-per-call, frames/sec vs thread count.
+//! (infrastructure) Streaming decode throughput on the persistent
+//! pool: frames/sec vs thread count.
 //!
 //! PR 8 left the single warm decode nearly kernel-bound, so the
 //! remaining lever is *throughput*: how fast a session chews through a
-//! multi-frame tiled stream. This experiment measures exactly the thing
-//! the persistent [`WorkerPool`](tepics_util::pool::WorkerPool) was
-//! built to fix — per-frame thread spawns and cold per-tile workspaces
-//! — with a same-window A/B between the two execution engines of
-//! [`DecodeExecutor`]:
+//! multi-frame tiled stream. This experiment measures the thing the
+//! persistent [`WorkerPool`](tepics_util::pool::WorkerPool) was built
+//! for — no per-frame thread spawns and warm per-geometry solver
+//! workspaces, with the tile groups of several frames pipelining
+//! through one map per push.
 //!
-//! * **Pooled** (default): long-lived workers with sticky per-geometry
-//!   solver workspaces; tile groups of several frames pipeline through
-//!   one map per push.
-//! * **SpawnPerCall**: the pre-pool behavior — fresh scoped threads and
-//!   fresh workspaces per frame — kept alive precisely as this
-//!   benchmark's baseline.
-//!
-//! Three numbers land in `BENCH_throughput.json` per thread count:
-//! frames/sec for each engine, their ratio, and the *thread spawns per
-//! decoded frame* measured from the process-wide spawn counter (pooled
-//! must be 0 after [`DecodeSession::prewarm`]; spawn-per-call pays
-//! `threads − 1` per frame). Every decode is checked bit-identical to
-//! the serial reference before its timing counts.
-//!
-//! Honesty: the acceptance gate (pooled ≥ 1.5× spawn-per-call at 4
-//! threads) is only *applicable* on a multi-core host — the JSON
-//! records `available_parallelism` and flags the gate `"applicable":
-//! false` on a 1-core machine instead of pretending the flat curve
-//! means something.
+//! Per thread count, `BENCH_throughput.json` records frames/sec, tiles
+//! per second, and the *thread spawns per decoded frame* measured from
+//! the process-wide spawn counter (0 after [`DecodeSession::prewarm`]).
+//! Every decode is checked bit-identical to the `threads(1)` reference
+//! before its timing counts. The JSON records `host_parallelism`: on a
+//! 1-core host the curve is flat by construction and says nothing about
+//! parallel speed-up.
 
 use std::time::Instant;
 
@@ -72,20 +60,17 @@ fn make_stream(
 }
 
 /// One timed decode of the whole stream in a single push (so complete
-/// tile groups of every frame are buffered together and — on the
-/// pooled engine — pipeline through one map). Returns the decoded
-/// frames, wall seconds, and the thread-spawn delta of the run.
+/// tile groups of every frame are buffered together and pipeline
+/// through one pool map). Returns the decoded frames, wall seconds,
+/// and the thread-spawn delta of the run.
 fn timed_decode(
     bytes: &[u8],
     cache: &std::sync::Arc<OperatorCache>,
     threads: usize,
-    executor: DecodeExecutor,
     warm: &CompressedFrame,
 ) -> (Vec<DecodedFrame>, f64, u64) {
     let mut dec = DecodeSession::with_cache(cache.clone());
-    dec.params(RecoveryParams::low_latency())
-        .threads(threads)
-        .executor(executor);
+    dec.params(RecoveryParams::low_latency()).threads(threads);
     dec.prewarm(warm).expect("throughput prewarm");
     let spawns_before = thread_spawn_count();
     let t = Instant::now();
@@ -94,24 +79,21 @@ fn timed_decode(
     (decoded, seconds, thread_spawn_count() - spawns_before)
 }
 
-/// One thread count's A/B measurement.
+/// One thread count's measurement.
 struct Point {
     threads: usize,
-    pooled_seconds: f64,
-    pooled_spawns_per_frame: f64,
-    spawn_seconds: f64,
-    spawn_spawns_per_frame: f64,
+    seconds: f64,
+    spawns_per_frame: f64,
     identical: bool,
 }
 
 /// Runs the experiment: a `frames`-frame 512×512 tiled stream decoded
-/// at several thread counts, each engine timed in the same window
-/// (interleaved reps, best-of), updating `BENCH_throughput.json`.
+/// at several thread counts (best of `reps`), updating
+/// `BENCH_throughput.json`.
 pub fn run() -> String {
     run_sized(512, 64, 8, 3, &[1, 2, 4], 2)
 }
 
-#[allow(clippy::too_many_lines)]
 fn run_sized(
     side: usize,
     tile: usize,
@@ -122,49 +104,37 @@ fn run_sized(
 ) -> String {
     let (bytes, warm, tiles) = make_stream(side, tile, overlap, frames);
     let host_parallelism = std::thread::available_parallelism().map_or(1, usize::from);
-    let gate_applicable = host_parallelism > 1;
     let cache = OperatorCache::shared();
 
     // Serial reference for bit-identity (threads 1 ⇒ inline on the
     // session workspace); also warms the shared operator cache so
     // every timed run below is operator-warm.
-    let (reference, _, _) = timed_decode(&bytes, &cache, 1, DecodeExecutor::Pooled, &warm);
+    let (reference, _, _) = timed_decode(&bytes, &cache, 1, &warm);
     assert_eq!(reference.len(), frames, "stream must decode all frames");
 
     let mut points = Vec::new();
     for &threads in thread_counts {
-        let mut pooled_best = f64::INFINITY;
-        let mut spawn_best = f64::INFINITY;
-        let mut pooled_spawns = 0;
-        let mut spawn_spawns = 0;
+        let mut best = f64::INFINITY;
+        let mut spawns = 0;
         let mut identical = true;
-        // Same-window A/B: the engines alternate inside one loop, so
-        // thermal/load drift hits both equally (PR 8 methodology).
         for _ in 0..reps {
-            let (frames_p, secs_p, spawns_p) =
-                timed_decode(&bytes, &cache, threads, DecodeExecutor::Pooled, &warm);
-            let (frames_s, secs_s, spawns_s) =
-                timed_decode(&bytes, &cache, threads, DecodeExecutor::SpawnPerCall, &warm);
-            identical &= frames_p == reference && frames_s == reference;
-            pooled_best = pooled_best.min(secs_p);
-            spawn_best = spawn_best.min(secs_s);
-            // Spawn deltas of the *last* rep: by then the pool is warm,
-            // so pooled must read 0 even on the first thread count.
-            pooled_spawns = spawns_p;
-            spawn_spawns = spawns_s;
+            let (decoded, secs, spawn_delta) = timed_decode(&bytes, &cache, threads, &warm);
+            identical &= decoded == reference;
+            best = best.min(secs);
+            // Spawn delta of the *last* rep: by then the pool is warm,
+            // so it must read 0 even on the first thread count.
+            spawns = spawn_delta;
         }
         points.push(Point {
             threads,
-            pooled_seconds: pooled_best,
-            pooled_spawns_per_frame: pooled_spawns as f64 / frames as f64,
-            spawn_seconds: spawn_best,
-            spawn_spawns_per_frame: spawn_spawns as f64 / frames as f64,
+            seconds: best,
+            spawns_per_frame: spawns as f64 / frames as f64,
             identical,
         });
     }
 
     // Machine-readable trail.
-    let mut json = String::from("{\n  \"schema\": 1,\n");
+    let mut json = String::from("{\n  \"schema\": 2,\n");
     json.push_str(&format!(
         "  \"host_parallelism\": {host_parallelism},\n  \"stream\": {{\"side\": {side}, \
          \"tile\": {tile}, \"overlap\": {overlap}, \"tiles_per_frame\": {tiles}, \
@@ -175,59 +145,38 @@ fn run_sized(
             json.push_str(", ");
         }
         json.push_str(&format!(
-            "{{\"threads\": {}, \"pooled_seconds\": {:.3}, \"pooled_frames_per_sec\": {:.3}, \
-             \"pooled_tiles_per_sec\": {:.1}, \"pooled_spawns_per_frame\": {:.2}, \
-             \"spawn_seconds\": {:.3}, \"spawn_frames_per_sec\": {:.3}, \
-             \"spawn_spawns_per_frame\": {:.2}, \"speedup_pooled_vs_spawn\": {:.3}, \
-             \"bit_identical\": {}}}",
+            "{{\"threads\": {}, \"seconds\": {:.3}, \"frames_per_sec\": {:.3}, \
+             \"tiles_per_sec\": {:.1}, \"spawns_per_frame\": {:.2}, \"bit_identical\": {}}}",
             p.threads,
-            p.pooled_seconds,
-            frames as f64 / p.pooled_seconds,
-            (frames * tiles) as f64 / p.pooled_seconds,
-            p.pooled_spawns_per_frame,
-            p.spawn_seconds,
-            frames as f64 / p.spawn_seconds,
-            p.spawn_spawns_per_frame,
-            p.spawn_seconds / p.pooled_seconds,
+            p.seconds,
+            frames as f64 / p.seconds,
+            (frames * tiles) as f64 / p.seconds,
+            p.spawns_per_frame,
             p.identical,
         ));
     }
-    let gate_point = points.iter().find(|p| p.threads == 4).or(points.last());
-    let gate_measured = gate_point.map_or(0.0, |p| p.spawn_seconds / p.pooled_seconds);
-    json.push_str(&format!(
-        "],\n  \"gate\": {{\"required_speedup_at_4_threads\": 1.5, \"measured\": {gate_measured:.3}, \
-         \"applicable\": {gate_applicable}, \"note\": \"{}\"}}\n}}\n",
-        if gate_applicable {
-            "pooled vs spawn-per-call, same window"
-        } else {
-            "host has 1 core: engine overheads are measurable but a parallel speedup is not"
-        },
-    ));
+    json.push_str("]\n}\n");
     let json_written = std::fs::write(JSON_PATH, &json).is_ok();
 
     // Human-readable report.
-    let mut out = String::from("# Streaming decode throughput — pooled vs spawn-per-call\n");
+    let mut out = String::from("# Streaming decode throughput — persistent pool\n");
     out.push_str(&section(&format!(
         "{side}×{side}, tile {tile}, overlap {overlap} — {tiles} tiles × {frames} frames, \
          AMP-60, one push (frame-pipelined)"
     )));
     let mut t = Table::new(&[
         "threads",
-        "pooled fps",
-        "spawn fps",
-        "pooled/spawn",
-        "pool spawns/frame",
-        "scoped spawns/frame",
+        "frames/s",
+        "tiles/s",
+        "spawns/frame",
         "bit-identical",
     ]);
     for p in &points {
         t.row_owned(vec![
             p.threads.to_string(),
-            format!("{:.3}", frames as f64 / p.pooled_seconds),
-            format!("{:.3}", frames as f64 / p.spawn_seconds),
-            format!("{:.2}×", p.spawn_seconds / p.pooled_seconds),
-            format!("{:.1}", p.pooled_spawns_per_frame),
-            format!("{:.1}", p.spawn_spawns_per_frame),
+            format!("{:.3}", frames as f64 / p.seconds),
+            format!("{:.1}", (frames * tiles) as f64 / p.seconds),
+            format!("{:.1}", p.spawns_per_frame),
             if p.identical {
                 "yes".into()
             } else {
@@ -237,19 +186,9 @@ fn run_sized(
     }
     out.push_str(&t.render());
     out.push_str(&format!(
-        "\nhost parallelism: {host_parallelism}; acceptance gate (≥1.5× at 4 threads): \
-         measured {gate_measured:.2}×, {}\n",
-        if gate_applicable {
-            "applicable"
-        } else {
-            "NOT APPLICABLE on a 1-core host (recorded as such in the JSON)"
-        },
+        "\nhost parallelism: {host_parallelism}. The `spawns/frame` column is the proof of\n\
+         amortization: after `prewarm`, a pooled stream decode spawns zero threads.\n"
     ));
-    out.push_str(
-        "\nthe `pool spawns/frame` column is the proof of amortization: after\n\
-         `prewarm`, a pooled stream decode spawns zero threads per frame, while\n\
-         the spawn-per-call engine pays its worker count again on every frame.\n",
-    );
     out.push_str(&format!(
         "\n{} {JSON_PATH}\n",
         if json_written {
@@ -262,32 +201,31 @@ fn run_sized(
 }
 
 /// Smoke-mode pool gate for CI: a small multi-frame tiled stream must
-/// decode bit-identically through `threads(4)` pooled, spawn-per-call,
-/// and serial paths — and the warm pooled decode must spawn zero
-/// threads.
+/// decode bit-identically through `threads(4)` pooled and serial paths
+/// — and the warm pooled decode must spawn zero threads.
 pub fn smoke() -> Result<String, Vec<String>> {
     let mut failures = Vec::new();
     let (bytes, warm, tiles) = make_stream(40, 16, 4, 3);
     let cache = OperatorCache::shared();
 
-    let decode = |threads: usize, executor: DecodeExecutor| {
+    let decode = |threads: usize| {
         let mut dec = DecodeSession::with_cache(cache.clone());
-        dec.threads(threads).executor(executor);
+        dec.threads(threads);
         dec.prewarm(&warm).expect("smoke prewarm");
         let decoded = dec.push_bytes(&bytes).expect("smoke pool decode");
         (decoded, dec.report())
     };
 
-    let (serial, _) = decode(1, DecodeExecutor::Pooled);
+    let (serial, _) = decode(1);
     if serial.len() != 3 {
         failures.push(format!("pool smoke: {} frames, expected 3", serial.len()));
     }
 
     // Warm-up pass spawns whatever workers the host allows; the decode
     // after it must spawn nothing.
-    let _ = decode(4, DecodeExecutor::Pooled);
+    let _ = decode(4);
     let spawns_before = thread_spawn_count();
-    let (pooled, report) = decode(4, DecodeExecutor::Pooled);
+    let (pooled, report) = decode(4);
     let spawn_delta = thread_spawn_count() - spawns_before;
     if spawn_delta != 0 {
         failures.push(format!(
@@ -304,15 +242,10 @@ pub fn smoke() -> Result<String, Vec<String>> {
         ));
     }
 
-    let (spawned, _) = decode(4, DecodeExecutor::SpawnPerCall);
-    if spawned != serial {
-        failures.push("pool smoke: spawn-per-call decode diverged from serial".into());
-    }
-
     if failures.is_empty() {
         Ok(format!(
-            "pool smoke: 3-frame 40×28 stream in {tiles} tiles/frame, threads(4) pooled ≡ \
-             spawn-per-call ≡ serial, 0 spawns after warmup"
+            "pool smoke: 3-frame 40×40 stream in {tiles} tiles/frame, threads(4) pooled ≡ \
+             serial, 0 spawns after warmup"
         ))
     } else {
         Err(failures)

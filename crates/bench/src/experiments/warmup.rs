@@ -3,6 +3,8 @@
 //! patterns. The paper starts sampling immediately and steps once per
 //! sample; this experiment shows what those choices cost.
 
+use std::sync::Arc;
+
 use crate::report::{section, Table};
 use tepics_core::batch::BatchRunner;
 use tepics_core::pipeline::evaluate_with_cache;
@@ -53,8 +55,9 @@ pub fn run() -> String {
         .flat_map(|warmup| [1u8, 2].map(|steps| (warmup, steps)))
         .collect();
     let runner = BatchRunner::new();
+    let (scene, cache) = (Arc::new(scene), runner.cache().clone());
     let outcome = runner
-        .run_jobs(&grid, |&(warmup, steps)| {
+        .run_jobs(grid.clone(), move |(warmup, steps)| {
             let strategy = StrategyKind::CellularAutomaton {
                 rule: 30,
                 warmup,
@@ -68,7 +71,7 @@ pub fn run() -> String {
                 .build()?;
             // Each grid point is its own cache key (the strategy is the
             // knob under test); the shared cache still dedups dictionaries.
-            evaluate_with_cache(runner.cache(), &imager, |_| {}, &scene)
+            evaluate_with_cache(&cache, &imager, |_| {}, &scene)
         })
         .expect("warmup sweep pipeline");
     let mut t = Table::new(&["warmup", "steps/sample", "PSNR (dB)", "SSIM"]);

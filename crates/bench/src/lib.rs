@@ -171,7 +171,8 @@ pub fn registry() -> Vec<Experiment> {
         Experiment {
             id: "throughput",
             tier: Tier::Full,
-            artifact: "(infrastructure) streaming decode throughput — pool vs spawn-per-call",
+            artifact:
+                "(infrastructure) streaming decode throughput — persistent pool vs thread count",
             run: experiments::throughput::run,
         },
         Experiment {

@@ -4,11 +4,10 @@
 //! loop hundreds of times: capture a scene, round-trip the frame
 //! through the wire codec, reconstruct, grade. The loops are
 //! embarrassingly parallel — each item owns its imager state and scene
-//! — so [`BatchRunner`] fans them across worker threads (via
-//! [`tepics_util::parallel::par_map`]) and aggregates the per-item
-//! [`PipelineReport`]s into batch statistics: mean/percentile PSNR,
-//! total bits on the wire, and end-to-end throughput in frames per
-//! second.
+//! — so [`BatchRunner`] fans them across the persistent
+//! [`WorkerPool`] and aggregates the per-item [`PipelineReport`]s into
+//! batch statistics: mean/percentile PSNR, total bits on the wire, and
+//! end-to-end throughput in frames per second.
 //!
 //! Determinism: results are collected in input order and every per-item
 //! computation is seeded, so a batch produces **bit-identical reports
@@ -45,7 +44,7 @@ use crate::imager::CompressiveImager;
 use crate::pipeline::{evaluate_with_cache, PipelineReport};
 use crate::session::{DecodeReport, DecodeSession, DecodedFrame, ErasurePolicy};
 use tepics_imaging::ImageF64;
-use tepics_util::parallel::{default_threads, par_map};
+use tepics_util::parallel::default_threads;
 use tepics_util::pool::WorkerPool;
 
 /// Fans independent capture→wire→reconstruct jobs across worker
@@ -101,7 +100,8 @@ impl BatchRunner {
 
     /// Runs the standard pipeline ([`evaluate_with_cache`] with a
     /// default-configured decoder and the runner's shared cache) over
-    /// `scenes` with a shared imager.
+    /// `scenes` with a shared imager. The imager and scenes are copied
+    /// once into owned jobs for the pool.
     ///
     /// # Errors
     ///
@@ -131,10 +131,12 @@ impl BatchRunner {
         &self,
         imager: &CompressiveImager,
         scenes: &[ImageF64],
-        configure: impl Fn(&mut crate::decoder::Decoder) + Sync,
+        configure: impl Fn(&mut crate::decoder::Decoder) + Send + Sync + 'static,
     ) -> Result<BatchOutcome, CoreError> {
-        self.run_jobs(scenes, |scene| {
-            evaluate_with_cache(&self.cache, imager, &configure, scene)
+        let cache = self.cache.clone();
+        let imager = imager.clone();
+        self.run_jobs(scenes.to_vec(), move |scene| {
+            evaluate_with_cache(&cache, &imager, &configure, &scene)
         })
     }
 
@@ -206,22 +208,23 @@ impl BatchRunner {
     ///
     /// This is the generic entry point for sweeps where each item needs
     /// its own imager or sensor configuration (e.g. the noise and
-    /// warm-up experiments): `f` receives one job and returns its
-    /// [`PipelineReport`].
+    /// warm-up experiments): `f` receives one owned job and returns its
+    /// [`PipelineReport`]. Jobs run on the persistent [`WorkerPool`],
+    /// so `f` owns its captures (share large ones through an [`Arc`]).
     ///
     /// # Errors
     ///
     /// Returns the first per-item error in input order; all items are
     /// still executed.
-    pub fn run_jobs<T, F>(&self, jobs: &[T], f: F) -> Result<BatchOutcome, CoreError>
+    pub fn run_jobs<T, F>(&self, jobs: Vec<T>, f: F) -> Result<BatchOutcome, CoreError>
     where
-        T: Sync,
-        F: Fn(&T) -> Result<PipelineReport, CoreError> + Sync,
+        T: Send + 'static,
+        F: Fn(T) -> Result<PipelineReport, CoreError> + Send + Sync + 'static,
     {
         #[allow(clippy::disallowed_methods)] // see clippy.toml
         // tidy:allow(wall-clock: batch wall-clock is reporting metadata; reconstructions never depend on it)
         let started = Instant::now();
-        let results = par_map(self.threads, jobs, |_, job| f(job));
+        let results = WorkerPool::global().map(self.threads, jobs, move |_, job, _| f(job));
         let elapsed = started.elapsed();
         let mut reports = Vec::with_capacity(results.len());
         for r in results {
@@ -625,16 +628,17 @@ mod tests {
         // must preserve job order in its reports.
         let scene = Scene::gaussian_blobs(2).render(16, 16, 9);
         let seeds = [1u64, 2, 3, 4];
+        let job = move |seed| {
+            let im = CompressiveImager::builder(16, 16)
+                .ratio(0.3)
+                .seed(seed)
+                .fidelity(Fidelity::Functional)
+                .build()
+                .unwrap();
+            evaluate(&im, |_| {}, &scene)
+        };
         let outcome = BatchRunner::with_threads(4)
-            .run_jobs(&seeds, |&seed| {
-                let im = CompressiveImager::builder(16, 16)
-                    .ratio(0.3)
-                    .seed(seed)
-                    .fidelity(Fidelity::Functional)
-                    .build()
-                    .unwrap();
-                evaluate(&im, |_| {}, &scene)
-            })
+            .run_jobs(seeds.to_vec(), job.clone())
             .unwrap();
         assert_eq!(outcome.reports.len(), seeds.len());
         // Different seeds select different pixels; reports must differ,
@@ -648,15 +652,7 @@ mod tests {
         assert_eq!(distinct.len(), seeds.len());
         // And re-running yields the identical sequence.
         let again = BatchRunner::with_threads(2)
-            .run_jobs(&seeds, |&seed| {
-                let im = CompressiveImager::builder(16, 16)
-                    .ratio(0.3)
-                    .seed(seed)
-                    .fidelity(Fidelity::Functional)
-                    .build()
-                    .unwrap();
-                evaluate(&im, |_| {}, &scene)
-            })
+            .run_jobs(seeds.to_vec(), job)
             .unwrap();
         assert_eq!(outcome.reports, again.reports);
     }
@@ -667,7 +663,7 @@ mod tests {
         // input order) is the one returned.
         let jobs = [1usize, 0, 2];
         let err = BatchRunner::with_threads(3)
-            .run_jobs(&jobs, |&j| {
+            .run_jobs(jobs.to_vec(), |j| {
                 if j == 0 {
                     Err(CoreError::MalformedFrame(format!("job {j} failed")))
                 } else {

@@ -62,7 +62,6 @@
 
 #[allow(clippy::disallowed_types)] // see clippy.toml: keyed lookup only
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -162,9 +161,12 @@ pub struct OperatorKey {
 /// Counters of an [`OperatorCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Operator lookups served from the cache.
+    /// Operator lookups served from the cache, including lookups that
+    /// waited for a concurrent build of the same key.
     pub hits: u64,
-    /// Operator lookups that had to build Φ.
+    /// Operator lookups that built Φ — exactly the builds: same-key
+    /// callers share one build, so this never counts a key twice while
+    /// its entry stays resident.
     pub misses: u64,
     /// Entries discarded to respect the byte budget (all families).
     pub evictions: u64,
@@ -185,32 +187,13 @@ impl CacheStats {
     }
 }
 
-/// A cached measurement operator plus its precomputed selection counts.
-#[derive(Debug, Clone)]
-pub(crate) struct CachedOperator {
-    pub(crate) phi: Arc<XorMeasurement>,
-    pub(crate) counts: Arc<Vec<f64>>,
-}
-
 type DictKey = (DictionaryKind, u16, u16);
 type NormKey = (OperatorKey, DictionaryKind, u64);
 type ColumnKey = (OperatorKey, DictionaryKind);
 
-/// A lazily initialized entry: the value builds behind its own
-/// [`OnceLock`] (outside the cache lock); `bytes` stays `0` until the
-/// builder commits the entry's accounted size, and uncommitted entries
-/// are never evicted.
-#[derive(Debug)]
-struct Slot<V> {
-    cell: Arc<OnceLock<V>>,
-    bytes: usize,
-    tick: u64,
-}
-
-/// Identifies one entry across the four families (eviction
-/// bookkeeping). The derived total order is the deterministic
-/// tie-break of [`Inner::lru_victim`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Identifies one entry across the four families. The derived total
+/// order is the deterministic tie-break of [`Inner::lru_victim`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 enum AnyKey {
     Op(OperatorKey),
     Dict(DictKey),
@@ -218,96 +201,77 @@ enum AnyKey {
     Column(ColumnKey),
 }
 
-/// Everything behind the cache lock: the four entry maps, the LRU
-/// clock, and the byte accounting.
+/// One memoized value; its variant always matches its [`AnyKey`]. An
+/// operator entry is Φ plus its precomputed selection counts.
+#[derive(Debug, Clone)]
+enum Entry {
+    Op(Arc<XorMeasurement>, Arc<Vec<f64>>),
+    Dict(Arc<DictImpl>),
+    Norm(f64),
+    Column(Arc<ColumnMatrix>),
+}
+
+/// The build cell of one key. A failed build is stored so every caller
+/// waiting on the cell sees the error, then the slot is dropped so the
+/// next lookup builds (and fails) again.
+type Cell = Arc<OnceLock<Result<Entry, CoreError>>>;
+
+/// A lazily initialized entry: the value builds behind its own
+/// [`OnceLock`] (outside the cache lock); `bytes` stays `0` until the
+/// builder commits the entry's accounted size, and uncommitted entries
+/// are never evicted.
+#[derive(Debug)]
+struct Slot {
+    cell: Cell,
+    bytes: usize,
+    tick: u64,
+}
+
+/// Everything behind the cache lock: the slot map, the LRU clock, and
+/// the byte accounting.
 ///
-/// The maps are `HashMap`s for O(1) keyed lookup; the only place that
-/// *iterates* them is [`Inner::lru_victim`], which reduces to a
+/// The map is a `HashMap` for O(1) keyed lookup; the only place that
+/// *iterates* it is [`Inner::lru_victim`], which reduces to a
 /// min-by-`(tick, key)` — a total order independent of iteration
 /// order — so hash randomization can never reach a result.
 #[derive(Debug, Default)]
-#[allow(clippy::disallowed_types)] // see clippy.toml + the hash-iter markers below
+#[allow(clippy::disallowed_types)] // see clippy.toml + the hash-iter marker below
 struct Inner {
     // tidy:allow(hash-iter: keyed lookup only; the lru_victim scan tie-breaks on a total order)
-    ops: HashMap<OperatorKey, Slot<CachedOperator>>,
-    // tidy:allow(hash-iter: keyed lookup only; the lru_victim scan tie-breaks on a total order)
-    dicts: HashMap<DictKey, Slot<Arc<DictImpl>>>,
-    // tidy:allow(hash-iter: keyed lookup only; the lru_victim scan tie-breaks on a total order)
-    norms: HashMap<NormKey, Slot<f64>>,
-    // tidy:allow(hash-iter: keyed lookup only; the lru_victim scan tie-breaks on a total order)
-    columns: HashMap<ColumnKey, Slot<Arc<ColumnMatrix>>>,
+    slots: HashMap<AnyKey, Slot>,
     tick: u64,
     resident: usize,
     evictions: u64,
 }
 
-/// Bumps the LRU clock, touches (or creates) `key`'s slot, and returns
-/// its build cell. Ticks are unique: every touch increments the shared
-/// clock and stamps the slot with the fresh value, so no two slots ever
-/// carry the same tick (the key tie-break in [`Inner::lru_victim`] is
-/// pure belt-and-suspenders).
-#[allow(clippy::disallowed_types)] // see clippy.toml
-fn touch<K: Eq + Hash + Copy, V>(
-    // tidy:allow(hash-iter: generic over the four keyed slot maps; never iterated here)
-    map: &mut HashMap<K, Slot<V>>,
-    tick: &mut u64,
-    key: K,
-) -> Arc<OnceLock<V>> {
-    *tick += 1;
-    let slot = map.entry(key).or_insert_with(|| Slot {
-        cell: Arc::new(OnceLock::new()),
-        bytes: 0,
-        tick: 0,
-    });
-    slot.tick = *tick;
-    slot.cell.clone()
-}
-
-/// Records `bytes` for the entry the caller just initialized, provided
-/// its slot still holds the same cell and no racer committed first.
-/// Returns whether this call committed (and therefore whether the
-/// budget needs enforcing).
-#[allow(clippy::disallowed_types)] // see clippy.toml
-fn commit<K: Eq + Hash + Copy, V>(
-    // tidy:allow(hash-iter: generic over the four keyed slot maps; never iterated here)
-    map: &mut HashMap<K, Slot<V>>,
-    resident: &mut usize,
-    key: K,
-    cell: &Arc<OnceLock<V>>,
-    bytes: usize,
-) -> bool {
-    match map.get_mut(&key) {
-        Some(slot) if Arc::ptr_eq(&slot.cell, cell) && slot.bytes == 0 => {
-            slot.bytes = bytes;
-            *resident += bytes;
-            true
-        }
-        _ => false,
-    }
-}
-
 impl Inner {
-    /// The committed byte size of `key`, if the entry is resident.
-    fn bytes_of(&self, key: AnyKey) -> Option<usize> {
-        let b = match key {
-            AnyKey::Op(k) => self.ops.get(&k)?.bytes,
-            AnyKey::Dict(k) => self.dicts.get(&k)?.bytes,
-            AnyKey::Norm(k) => self.norms.get(&k)?.bytes,
-            AnyKey::Column(k) => self.columns.get(&k)?.bytes,
-        };
-        (b > 0).then_some(b)
+    /// Bumps the LRU clock, touches (or creates) `key`'s slot, and
+    /// returns its build cell. Ticks are unique: every touch increments
+    /// the clock and stamps the slot with the fresh value, so no two
+    /// slots ever carry the same tick (the key tie-break in
+    /// [`Inner::lru_victim`] is pure belt-and-suspenders).
+    fn touch(&mut self, key: AnyKey) -> Cell {
+        self.tick += 1;
+        let slot = self.slots.entry(key).or_insert_with(|| Slot {
+            cell: Arc::new(OnceLock::new()),
+            bytes: 0,
+            tick: 0,
+        });
+        slot.tick = self.tick;
+        slot.cell.clone()
+    }
+
+    /// The uncommitted slot of `key`, provided it still holds `cell`.
+    fn pending(&mut self, key: AnyKey, cell: &Cell) -> Option<&mut Slot> {
+        self.slots
+            .get_mut(&key)
+            .filter(|slot| Arc::ptr_eq(&slot.cell, cell) && slot.bytes == 0)
     }
 
     /// Removes a committed entry, releasing its bytes.
     fn remove(&mut self, key: AnyKey) {
-        let bytes = match key {
-            AnyKey::Op(k) => self.ops.remove(&k).map(|s| s.bytes),
-            AnyKey::Dict(k) => self.dicts.remove(&k).map(|s| s.bytes),
-            AnyKey::Norm(k) => self.norms.remove(&k).map(|s| s.bytes),
-            AnyKey::Column(k) => self.columns.remove(&k).map(|s| s.bytes),
-        };
-        if let Some(bytes) = bytes {
-            self.resident -= bytes;
+        if let Some(slot) = self.slots.remove(&key) {
+            self.resident -= slot.bytes;
             self.evictions += 1;
         }
     }
@@ -315,33 +279,17 @@ impl Inner {
     /// The least-recently-touched committed entry other than `protect`.
     ///
     /// Selection is min-by-`(tick, key)`. Ticks are unique by
-    /// construction (see [`touch`]), but the key tie-break makes the
-    /// choice *provably* independent of `HashMap` iteration order, so
-    /// the eviction sequence is deterministic even if tick uniqueness
-    /// were ever broken by a future refactor.
+    /// construction (see [`Inner::touch`]), but the key tie-break makes
+    /// the choice *provably* independent of `HashMap` iteration order,
+    /// so the eviction sequence is deterministic even if tick
+    /// uniqueness were ever broken by a future refactor.
     fn lru_victim(&self, protect: AnyKey) -> Option<AnyKey> {
-        let mut best: Option<(u64, AnyKey)> = None;
-        let mut consider = |tick: u64, bytes: usize, key: AnyKey| {
-            if bytes == 0 || key == protect {
-                return;
-            }
-            if best.is_none_or(|(t, k)| (tick, key) < (t, k)) {
-                best = Some((tick, key));
-            }
-        };
-        for (k, s) in &self.ops {
-            consider(s.tick, s.bytes, AnyKey::Op(*k));
-        }
-        for (k, s) in &self.dicts {
-            consider(s.tick, s.bytes, AnyKey::Dict(*k));
-        }
-        for (k, s) in &self.norms {
-            consider(s.tick, s.bytes, AnyKey::Norm(*k));
-        }
-        for (k, s) in &self.columns {
-            consider(s.tick, s.bytes, AnyKey::Column(*k));
-        }
-        best.map(|(_, k)| k)
+        self.slots
+            .iter()
+            .filter(|(key, slot)| slot.bytes > 0 && **key != protect)
+            .map(|(key, slot)| (slot.tick, *key))
+            .min()
+            .map(|(_, key)| key)
     }
 
     /// Evicts LRU entries until the resident total fits `budget`,
@@ -350,7 +298,7 @@ impl Inner {
     /// value was already handed to the caller; it is just not
     /// retained).
     fn enforce(&mut self, budget: usize, protect: AnyKey) {
-        if self.bytes_of(protect).is_some_and(|b| b > budget) {
+        if self.slots.get(&protect).is_some_and(|s| s.bytes > budget) {
             self.remove(protect);
             return;
         }
@@ -373,11 +321,13 @@ impl Inner {
 /// Cheap to share: wrap in an [`Arc`] (or use [`OperatorCache::shared`])
 /// and clone the handle into every decoder/session that should reuse
 /// the same state.
-/// The inner `Mutex` guards only entry lookup and byte accounting; the
-/// expensive builds (CA replay, power iteration, column
-/// materialization) run outside it behind per-key [`OnceLock`]s, so
-/// distinct-key work in a parallel batch stays parallel while same-key
-/// racers still converge on one value.
+///
+/// Lookups are single-flight: each key builds inside its own
+/// [`OnceLock`], so concurrent callers of one key wait for a single
+/// build (and [`CacheStats::misses`] counts exactly the operator
+/// builds). The inner `Mutex` guards only the slot map and the byte
+/// accounting and is never held during a build, so distinct keys in a
+/// parallel batch still build in parallel.
 #[derive(Debug)]
 pub struct OperatorCache {
     inner: Mutex<Inner>,
@@ -457,15 +407,47 @@ impl OperatorCache {
         }
     }
 
-    /// Runs `commit` + budget enforcement for a just-built entry.
-    fn retain(&self, committed: bool, protect: AnyKey) {
-        if !committed {
-            return;
+    /// The entry for `key`, built with `build` (which also returns the
+    /// entry's accounted payload bytes) on first use.
+    ///
+    /// The build runs inside the slot's [`OnceLock`], outside the map
+    /// lock: same-key callers wait for it, distinct keys proceed in
+    /// parallel. The builder then commits the entry's bytes and
+    /// enforces the budget. A build error leaves no slot behind, so the
+    /// next lookup builds again; a panicking build leaves its cell
+    /// empty, so the next lookup retries it.
+    fn get_or_build(
+        &self,
+        key: AnyKey,
+        build: impl FnOnce() -> Result<(Entry, usize), CoreError>,
+    ) -> Result<Entry, CoreError> {
+        let cell = self.locked().touch(key);
+        let mut built_bytes = None;
+        let result = cell
+            .get_or_init(|| {
+                build().map(|(entry, bytes)| {
+                    built_bytes = Some(bytes);
+                    entry
+                })
+            })
+            .clone();
+        if result.is_err() {
+            let mut inner = self.locked();
+            if inner.pending(key, &cell).is_some() {
+                inner.slots.remove(&key);
+            }
+        } else if let Some(bytes) = built_bytes {
+            let bytes = ENTRY_OVERHEAD + bytes;
+            let mut inner = self.locked();
+            if let Some(slot) = inner.pending(key, &cell) {
+                slot.bytes = bytes;
+                inner.resident += bytes;
+                if let Some(budget) = self.budget {
+                    inner.enforce(budget, key);
+                }
+            }
         }
-        if let Some(budget) = self.budget {
-            let mut guard = self.locked();
-            guard.enforce(budget, protect);
-        }
+        result
     }
 
     /// The measurement operator and selection counts for `key`,
@@ -479,63 +461,38 @@ impl OperatorCache {
         &self,
         key: &OperatorKey,
     ) -> Result<(Arc<XorMeasurement>, Arc<Vec<f64>>), CoreError> {
-        let cell = {
-            let mut guard = self.locked();
-            let inner = &mut *guard;
-            touch(&mut inner.ops, &mut inner.tick, *key)
-        };
-        if let Some(cached) = cell.get() {
+        let mut built = false;
+        let entry = self.get_or_build(AnyKey::Op(*key), || {
+            built = true;
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            let (rows, cols) = (key.rows as usize, key.cols as usize);
+            let mut source = key.strategy.build_source(rows + cols, key.seed)?;
+            let phi = XorMeasurement::from_source(rows, cols, source.as_mut(), key.k);
+            let counts = phi.selection_counts();
+            let bytes = phi.bytes() + counts.len() * std::mem::size_of::<f64>();
+            Ok((Entry::Op(Arc::new(phi), Arc::new(counts)), bytes))
+        })?;
+        if !built {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((cached.phi.clone(), cached.counts.clone()));
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Build outside every lock so distinct keys proceed in
-        // parallel. Same-key racers may build twice; the builds are
-        // deterministic and the OnceLock keeps one, so the returned
-        // value is unaffected. An invalid strategy caches nothing and
-        // errors on every call.
-        let (rows, cols) = (key.rows as usize, key.cols as usize);
-        let mut source = key.strategy.build_source(rows + cols, key.seed)?;
-        let phi = Arc::new(XorMeasurement::from_source(
-            rows,
-            cols,
-            source.as_mut(),
-            key.k,
-        ));
-        let counts = Arc::new(phi.selection_counts());
-        let cached = cell.get_or_init(|| CachedOperator { phi, counts });
-        let result = (cached.phi.clone(), cached.counts.clone());
-        let bytes = ENTRY_OVERHEAD + result.0.bytes() + result.1.len() * std::mem::size_of::<f64>();
-        let committed = {
-            let mut guard = self.locked();
-            let inner = &mut *guard;
-            commit(&mut inner.ops, &mut inner.resident, *key, &cell, bytes)
+        let Entry::Op(phi, counts) = entry else {
+            // tidy:allow(panic: get_or_build stores only Entry::Op under an AnyKey::Op key)
+            unreachable!("operator key holds a non-operator entry")
         };
-        self.retain(committed, AnyKey::Op(*key));
-        Ok(result)
+        Ok((phi, counts))
     }
 
     /// The dictionary for `(kind, rows, cols)`, built on first use.
     pub(crate) fn dictionary(&self, kind: DictionaryKind, rows: u16, cols: u16) -> Arc<DictImpl> {
-        let key = (kind, rows, cols);
-        let cell = {
-            let mut guard = self.locked();
-            let inner = &mut *guard;
-            touch(&mut inner.dicts, &mut inner.tick, key)
+        let (r, c) = (rows as usize, cols as usize);
+        let entry = self.get_or_build(AnyKey::Dict((kind, rows, cols)), || {
+            let dict = Arc::new(build_dictionary(kind, r, c));
+            Ok((Entry::Dict(dict), dict_bytes_estimate(kind, r, c)))
+        });
+        let Ok(Entry::Dict(dict)) = entry else {
+            // tidy:allow(panic: the dictionary build is infallible and stored as Entry::Dict)
+            unreachable!("dictionary key holds a non-dictionary entry")
         };
-        if let Some(dict) = cell.get() {
-            return dict.clone();
-        }
-        let dict = cell
-            .get_or_init(|| Arc::new(build_dictionary(kind, rows as usize, cols as usize)))
-            .clone();
-        let bytes = ENTRY_OVERHEAD + dict_bytes_estimate(kind, rows as usize, cols as usize);
-        let committed = {
-            let mut guard = self.locked();
-            let inner = &mut *guard;
-            commit(&mut inner.dicts, &mut inner.resident, key, &cell, bytes)
-        };
-        self.retain(committed, AnyKey::Dict(key));
         dict
     }
 
@@ -553,26 +510,13 @@ impl OperatorCache {
         norm_seed: u64,
         compute: impl FnOnce() -> f64,
     ) -> Option<f64> {
-        let nkey = (*key, kind, norm_seed);
-        let cell = {
-            let mut guard = self.locked();
-            let inner = &mut *guard;
-            touch(&mut inner.norms, &mut inner.tick, nkey)
+        let entry = self.get_or_build(AnyKey::Norm((*key, kind, norm_seed)), || {
+            Ok((Entry::Norm(compute()), std::mem::size_of::<f64>()))
+        });
+        let Ok(Entry::Norm(norm)) = entry else {
+            // tidy:allow(panic: the norm computation is infallible and stored as Entry::Norm)
+            unreachable!("norm key holds a non-norm entry")
         };
-        // The power iteration runs outside the map lock (it is the
-        // expensive part); the OnceLock still guarantees one stored
-        // value per key.
-        let warm = cell.get().is_some();
-        let norm = *cell.get_or_init(compute);
-        if !warm {
-            let bytes = ENTRY_OVERHEAD + std::mem::size_of::<f64>();
-            let committed = {
-                let mut guard = self.locked();
-                let inner = &mut *guard;
-                commit(&mut inner.norms, &mut inner.resident, nkey, &cell, bytes)
-            };
-            self.retain(committed, AnyKey::Norm(nkey));
-        }
         (norm > 0.0).then_some(norm)
     }
 
@@ -587,25 +531,15 @@ impl OperatorCache {
         kind: DictionaryKind,
         build: impl FnOnce() -> ColumnMatrix,
     ) -> Arc<ColumnMatrix> {
-        let ckey = (*key, kind);
-        let cell = {
-            let mut guard = self.locked();
-            let inner = &mut *guard;
-            touch(&mut inner.columns, &mut inner.tick, ckey)
+        let entry = self.get_or_build(AnyKey::Column((*key, kind)), || {
+            let view = build();
+            let bytes = view.bytes();
+            Ok((Entry::Column(Arc::new(view)), bytes))
+        });
+        let Ok(Entry::Column(view)) = entry else {
+            // tidy:allow(panic: the view build is infallible and stored as Entry::Column)
+            unreachable!("column key holds a non-column entry")
         };
-        if let Some(view) = cell.get() {
-            return view.clone();
-        }
-        // Materialization (cols forward applies) runs outside the map
-        // lock; the OnceLock keeps one view per key.
-        let view = cell.get_or_init(|| Arc::new(build())).clone();
-        let bytes = ENTRY_OVERHEAD + view.bytes();
-        let committed = {
-            let mut guard = self.locked();
-            let inner = &mut *guard;
-            commit(&mut inner.columns, &mut inner.resident, ckey, &cell, bytes)
-        };
-        self.retain(committed, AnyKey::Column(ckey));
         view
     }
 }
@@ -689,10 +623,15 @@ mod tests {
             seed: 1,
             k: 4,
         };
-        assert!(matches!(
-            cache.operator(&bad),
-            Err(CoreError::InvalidConfig(_))
-        ));
+        // Nothing is retained, so every call builds and fails again.
+        for _ in 0..2 {
+            assert!(matches!(
+                cache.operator(&bad),
+                Err(CoreError::InvalidConfig(_))
+            ));
+        }
+        assert_eq!(cache.resident_bytes(), 0);
+        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]
@@ -858,8 +797,8 @@ mod tests {
     fn lru_tie_break_is_key_ordered() {
         let mut inner = Inner::default();
         for seed in [9u64, 3, 7, 1, 5] {
-            inner.ops.insert(
-                key(seed, 8),
+            inner.slots.insert(
+                AnyKey::Op(key(seed, 8)),
                 Slot {
                     cell: Arc::new(OnceLock::new()),
                     bytes: 1,
@@ -922,5 +861,90 @@ mod tests {
         assert!(cache.stats().evictions >= 1);
         assert_eq!(*again_phi, *cold_phi);
         assert_eq!(*again_counts, *cold_counts);
+    }
+
+    /// Runs `lookup` on eight threads released together by a barrier,
+    /// returning every thread's result.
+    fn race<R: Send>(lookup: impl Fn() -> R + Sync) -> Vec<R> {
+        use std::sync::Barrier;
+        let barrier = Barrier::new(8);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        lookup()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    /// Single flight: eight threads that request one operator key at
+    /// once share a single build and a single value.
+    #[test]
+    fn concurrent_operator_lookups_build_once() {
+        let cache = OperatorCache::new();
+        let big = OperatorKey {
+            rows: 64,
+            cols: 64,
+            strategy: StrategyKind::rule30(64),
+            seed: 0x51F,
+            k: 1200,
+        };
+        let phis = race(|| cache.operator(&big).unwrap().0);
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 1, "same-key racers must share one build");
+        assert_eq!(stats.hits, 7);
+        assert!(phis.iter().all(|phi| Arc::ptr_eq(phi, &phis[0])));
+    }
+
+    #[test]
+    fn concurrent_norm_and_column_lookups_build_once() {
+        use std::sync::atomic::AtomicUsize;
+        use tepics_cs::DenseMatrix;
+        let cache = OperatorCache::new();
+        let k = key(4, 12);
+        let norm_builds = AtomicUsize::new(0);
+        let norms = race(|| {
+            cache.operator_norm(&k, DictionaryKind::Dct2d, 9, || {
+                norm_builds.fetch_add(1, Ordering::SeqCst);
+                0.75
+            })
+        });
+        assert_eq!(norm_builds.load(Ordering::SeqCst), 1);
+        assert!(norms.iter().all(|&n| n == Some(0.75)));
+
+        let view_builds = AtomicUsize::new(0);
+        let views = race(|| {
+            cache.column_view(&k, DictionaryKind::Dct2d, || {
+                view_builds.fetch_add(1, Ordering::SeqCst);
+                ColumnMatrix::from_operator(&DenseMatrix::identity(4))
+            })
+        });
+        assert_eq!(view_builds.load(Ordering::SeqCst), 1);
+        assert!(views.iter().all(|v| Arc::ptr_eq(v, &views[0])));
+    }
+
+    /// A build that panics leaves its slot buildable: the next lookup
+    /// builds and caches normally.
+    #[test]
+    fn panicking_build_leaves_the_slot_buildable() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let cache = OperatorCache::new();
+        let k = key(6, 12);
+        let first = catch_unwind(AssertUnwindSafe(|| {
+            cache.operator_norm(&k, DictionaryKind::Dct2d, 1, || panic!("build failed"))
+        }));
+        assert!(first.is_err());
+        assert_eq!(
+            cache.operator_norm(&k, DictionaryKind::Dct2d, 1, || 0.5),
+            Some(0.5)
+        );
+        assert_eq!(
+            cache.operator_norm(&k, DictionaryKind::Dct2d, 1, || panic!("must be memoized")),
+            Some(0.5)
+        );
     }
 }

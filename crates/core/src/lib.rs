@@ -98,9 +98,7 @@ pub use error::CoreError;
 pub use faults::FaultInjector;
 pub use frame::{CompressedFrame, FrameHeader};
 pub use imager::{CompressiveImager, CompressiveImagerBuilder};
-pub use session::{
-    DecodeExecutor, DecodeReport, DecodeSession, DecodedFrame, EncodeSession, ErasurePolicy,
-};
+pub use session::{DecodeReport, DecodeSession, DecodedFrame, EncodeSession, ErasurePolicy};
 pub use solver::{RecoveryParams, SolverKind};
 pub use strategy::StrategyKind;
 pub use stream::{StreamEvent, WireProfile};
@@ -118,7 +116,7 @@ pub mod prelude {
     pub use crate::imager::CompressiveImager;
     pub use crate::pipeline::{evaluate, evaluate_with_cache, PipelineReport};
     pub use crate::session::{
-        DecodeExecutor, DecodeReport, DecodeSession, DecodedFrame, EncodeSession, ErasurePolicy,
+        DecodeReport, DecodeSession, DecodedFrame, EncodeSession, ErasurePolicy,
     };
     pub use crate::solver::{RecoveryParams, SolverKind};
     pub use crate::strategy::StrategyKind;

@@ -34,12 +34,12 @@
 //! count.
 //!
 //! Parallel tiled decodes run on the process-wide persistent
-//! [`WorkerPool`] by default ([`DecodeExecutor::Pooled`]): workers are
-//! spawned once, keep a warm per-geometry solver workspace each, and
-//! when a single [`DecodeSession::push_bytes`] call completes the tile
-//! groups of several frames, all their tiles fan out across the pool
-//! together — frames of one stream *pipeline* instead of decoding
-//! strictly one after another. [`DecodeSession::prewarm`] primes every
+//! [`WorkerPool`]: workers are spawned once, keep a warm per-geometry
+//! solver workspace each, and when a single
+//! [`DecodeSession::push_bytes`] call completes the tile groups of
+//! several frames, all their tiles fan out across the pool together —
+//! frames of one stream *pipeline* instead of decoding strictly one
+//! after another. [`DecodeSession::prewarm`] primes every
 //! executor up front so the steady state spawns no threads and
 //! allocates nothing.
 //!
@@ -85,7 +85,6 @@ use tepics_imaging::tile::{fill_uncovered, merge_tiles_sparse, TileLayout};
 use tepics_imaging::ImageF64;
 use tepics_recovery::{Iht, SolveStats, SolverWorkspace};
 use tepics_sensor::EventStats;
-use tepics_util::parallel::par_map;
 use tepics_util::pool::{self, WorkerPool};
 
 /// Capture-side session: scenes in, one contiguous wire stream out.
@@ -260,29 +259,6 @@ pub enum ErasurePolicy {
     NeighborBlend,
 }
 
-/// Which execution engine a [`DecodeSession`] uses for parallel tiled
-/// decodes (when [`DecodeSession::threads`] is above 1).
-///
-/// Both engines produce **bit-identical** output — tiles are solved
-/// from independent records and stitched in deterministic row-major
-/// order — so this knob only trades scheduling overhead, never results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DecodeExecutor {
-    /// The process-wide persistent [`WorkerPool`]: workers are spawned
-    /// once and parked between calls, and each keeps a warm
-    /// per-geometry [`SolverWorkspace`] in its sticky scratch, so the
-    /// warm steady state spawns no threads and allocates nothing.
-    /// When one [`DecodeSession::push_bytes`] call completes tile
-    /// groups of *several* frames, their tiles fan out across the pool
-    /// together (frame pipelining).
-    #[default]
-    Pooled,
-    /// Fresh scoped threads and fresh per-tile workspaces on every
-    /// tile group — the pre-pool behavior, kept as the A/B baseline
-    /// for the throughput benchmark.
-    SpawnPerCall,
-}
-
 /// Degradation accounting of one [`DecodeSession`].
 ///
 /// All counters are cumulative over the session's lifetime. On a clean
@@ -373,17 +349,6 @@ struct GroupJob {
     slots: Vec<Option<CompressedFrame>>,
 }
 
-/// How a session executes the tiles of buffered groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TileRoute {
-    /// Sequentially on the caller, reusing the session workspace.
-    Serial,
-    /// Scoped spawn-per-call threads ([`DecodeExecutor::SpawnPerCall`]).
-    Spawn,
-    /// The persistent global [`WorkerPool`].
-    Pool,
-}
-
 /// Sticky-scratch slot key for a tile geometry: pool workers keep one
 /// warm [`SolverWorkspace`] per distinct tile size, shared by every
 /// session decoding that geometry.
@@ -457,8 +422,6 @@ pub struct DecodeSession {
     decoded: usize,
     /// Worker threads for tiled decodes (0 and 1 both mean inline).
     threads: usize,
-    /// Execution engine for parallel tiled decodes.
-    executor: DecodeExecutor,
     /// Tile records of the frame currently being assembled (tiled
     /// streams buffer `layout.tiles()` records before decoding).
     pending: Vec<CompressedFrame>,
@@ -536,21 +499,11 @@ impl DecodeSession {
 
     /// Sets the worker-thread count for tiled decodes (default inline).
     /// Tiles are recovered concurrently — on the calling thread plus up
-    /// to `threads − 1` persistent pool workers under the default
-    /// [`DecodeExecutor::Pooled`] engine — and stitched in a
+    /// to `threads − 1` persistent pool workers — and stitched in a
     /// deterministic order, so the result is **bit-identical for every
     /// thread count**; untiled decodes are unaffected.
     pub fn threads(&mut self, threads: usize) -> &mut Self {
         self.threads = threads;
-        self
-    }
-
-    /// Selects the execution engine for parallel tiled decodes (default
-    /// [`DecodeExecutor::Pooled`]). Results are bit-identical either
-    /// way; [`DecodeExecutor::SpawnPerCall`] exists as the throughput
-    /// benchmark's A/B baseline.
-    pub fn executor(&mut self, executor: DecodeExecutor) -> &mut Self {
-        self.executor = executor;
         self
     }
 
@@ -866,20 +819,12 @@ impl DecodeSession {
         self.decode(frame)
     }
 
-    /// Picks the execution route for this session's tiled decodes.
+    /// Whether this session's tiled decodes fan out on the pool.
     /// Nested use — a session decoding *on* a pool worker, e.g. a
     /// batch stream job — runs serially on the worker's own warm
     /// workspace instead of re-entering the pool.
-    fn tile_route(&self) -> TileRoute {
-        if self.threads <= 1 {
-            TileRoute::Serial
-        } else if self.executor == DecodeExecutor::SpawnPerCall {
-            TileRoute::Spawn
-        } else if pool::is_worker_thread() {
-            TileRoute::Serial
-        } else {
-            TileRoute::Pool
-        }
+    fn pooled(&self) -> bool {
+        self.threads > 1 && !pool::is_worker_thread()
     }
 
     /// Decodes buffered tile groups in stream order, appending the
@@ -898,23 +843,22 @@ impl DecodeSession {
         layout: &TileLayout,
         out: &mut Vec<DecodedFrame>,
     ) -> Result<(), CoreError> {
-        let route = self.tile_route();
-        if route == TileRoute::Pool {
+        if self.pooled() {
             return self.decode_jobs_pooled(jobs, layout, out);
         }
         for job in jobs {
-            let decoded = self.decode_group(job, layout, route)?;
+            let decoded = self.decode_group(job, layout)?;
             out.push(decoded);
         }
         Ok(())
     }
 
-    /// Decodes one tile group on the serial or spawn-per-call route.
+    /// Decodes one tile group serially on the session workspace (the
+    /// workspace never changes results, only allocations).
     fn decode_group(
         &mut self,
         job: GroupJob,
         layout: &TileLayout,
-        route: TileRoute,
     ) -> Result<DecodedFrame, CoreError> {
         let GroupJob {
             index,
@@ -932,27 +876,11 @@ impl DecodeSession {
                 "decode session has no primed decoder".into(),
             ));
         };
-        let recons: Vec<Option<Result<Reconstruction, CoreError>>> = if route == TileRoute::Spawn {
-            par_map(self.threads, &slots, |_, slot| {
-                slot.as_ref().map(|frame| {
-                    let mut workspace = SolverWorkspace::default();
-                    decoder.reconstruct_with(frame, &mut workspace)
-                })
-            })
-        } else {
-            // Inline: reuse the session workspace across tiles (the
-            // workspace never changes results, only allocations).
-            let workspace = &mut self.workspace;
-            slots
-                .iter()
-                .map(|slot| {
-                    slot.as_ref()
-                        .map(|frame| decoder.reconstruct_with(frame, workspace))
-                })
-                .collect()
-        };
-        let mut solved = Vec::with_capacity(recons.len());
-        for recon in recons {
+        let mut solved = Vec::with_capacity(slots.len());
+        for slot in &slots {
+            let recon = slot
+                .as_ref()
+                .map(|frame| decoder.reconstruct_with(frame, &mut self.workspace));
             solved.push(recon.transpose()?);
         }
         Ok(self.emit_group(index, erased, &solved, layout))
@@ -1043,9 +971,9 @@ impl DecodeSession {
     /// prewarm, steady-state pooled decodes of same-geometry streams
     /// spawn no threads and allocate nothing.
     ///
-    /// Serial (and nested / spawn-per-call) configurations warm the
-    /// session's own workspace instead. Solve failures while warming
-    /// are ignored — warming is best-effort and never changes results.
+    /// Serial (and nested) configurations warm the session's own
+    /// workspace instead. Solve failures while warming are ignored —
+    /// warming is best-effort and never changes results.
     ///
     /// # Errors
     ///
@@ -1057,7 +985,7 @@ impl DecodeSession {
                 "decode session has no primed decoder".into(),
             ));
         };
-        if self.tile_route() == TileRoute::Pool {
+        if self.pooled() {
             let key = scratch_key(&frame.header);
             let frame = frame.clone();
             WorkerPool::global().broadcast(self.threads, move |s| {

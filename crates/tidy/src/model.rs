@@ -89,7 +89,7 @@ impl fmt::Display for CheckId {
 pub enum CrateClass {
     /// Result-affecting code: every check applies.
     Product,
-    /// Measurement/reporting harness (bench, criterion shim): reading
+    /// Measurement/reporting harness (`tepics-bench`): reading
     /// the clock and failing loudly are the point, so only the meta
     /// checks (`unsafe-forbid`, `todo-issue`, `marker`, and any
     /// explicit `alloc-free` regions) apply.

@@ -12,11 +12,12 @@
 //!   experiment harness.
 //! * [`fixed`] — fixed-width integer helpers that model the saturating
 //!   hardware accumulators of the sensor's Sample & Add stage.
-//! * [`parallel`] — a scoped-thread parallel map with deterministic,
-//!   input-ordered results, used by the batch capture engine.
+//! * [`parallel`] — the default thread count and the process-wide
+//!   thread-spawn counter.
 //! * [`pool`] — a persistent worker pool with sticky per-worker scratch
-//!   slots and the same determinism contract; the streaming decode
-//!   paths run on it so the warm steady state spawns no threads.
+//!   slots and deterministic, input-ordered results; every parallel
+//!   path (batch jobs, stream and tile decodes) runs on it, so the warm
+//!   steady state spawns no threads.
 //! * [`simd`] — explicit-width chunked f64 kernels (`dot4`, `axpy4`,
 //!   `sum4`, Lee butterfly pairs) shared by every hot numeric loop.
 //!

@@ -1,23 +1,11 @@
-//! Scoped-thread parallel map with deterministic output ordering.
+//! Thread-count defaults and the process-wide thread-spawn counter.
 //!
-//! The TEPICS workloads that want parallelism (batch capture→recover
-//! loops, experiment sweeps) are embarrassingly parallel over
-//! independent items, so a dependency-free work queue over
-//! [`std::thread::scope`] covers them: results land at the index of
-//! their input item, so the output is **bit-identical regardless of
-//! thread count or scheduling** as long as the per-item function is
-//! itself deterministic.
-//!
-//! # Examples
-//!
-//! ```
-//! use tepics_util::parallel::par_map;
-//!
-//! let squares = par_map(4, &[1u64, 2, 3, 4], |_, &x| x * x);
-//! assert_eq!(squares, vec![1, 4, 9, 16]);
-//! ```
+//! All parallel work runs on the persistent [`pool`](crate::pool); this
+//! module keeps the two knobs around it that callers and benchmarks
+//! read: the default executor count and a monotone count of OS threads
+//! spawned so far.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Returns the number of worker threads to use by default: the
 /// machine's available parallelism, floored at 1.
@@ -28,123 +16,26 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// OS threads spawned by the TEPICS parallel primitives so far — every
-/// scoped [`par_map`] worker and every [`pool`](crate::pool) worker,
+/// OS threads spawned by the [`pool`](crate::pool) so far,
 /// process-wide and monotone.
 static THREAD_SPAWNS: AtomicU64 = AtomicU64::new(0);
 
-/// Total worker threads spawned by [`par_map`] and the
-/// [`pool`](crate::pool) since process start. Benchmarks diff this
-/// around a workload to prove the steady state spawns nothing (a warm
-/// pool decode's delta is 0; every `par_map` call's delta is its worker
-/// count).
+/// Total worker threads spawned by the [`pool`](crate::pool) since
+/// process start. Benchmarks diff this around a workload to prove the
+/// steady state spawns nothing (a warm pool decode's delta is 0).
 #[must_use]
 pub fn thread_spawn_count() -> u64 {
     THREAD_SPAWNS.load(Ordering::Relaxed)
 }
 
-/// Records `n` worker spawns (shared with the persistent pool).
+/// Records `n` worker spawns.
 pub(crate) fn record_spawns(n: u64) {
     THREAD_SPAWNS.fetch_add(n, Ordering::Relaxed);
-}
-
-/// Maps `f` over `items` on up to `threads` worker threads, returning
-/// the results in input order.
-///
-/// `f` receives `(index, &item)`. Items are claimed from a shared
-/// atomic counter, so scheduling is dynamic (long and short items mix
-/// freely), while the result vector is ordered by input index — output
-/// does not depend on which thread ran which item.
-///
-/// With `threads <= 1` (or a single item) the map runs inline on the
-/// caller's thread with no synchronization, which keeps single-threaded
-/// runs easy to profile and trace.
-///
-/// # Panics
-///
-/// Propagates a panic from `f` (the scope joins all workers first).
-pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let workers = threads.max(1).min(items.len().max(1));
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-
-    record_spawns(workers as u64);
-    let next = AtomicUsize::new(0);
-    // Each worker claims ≥ items/workers items only when scheduling is
-    // perfectly even; reserve that much and let the rare uneven worker
-    // grow once or twice.
-    let per_worker = items.len().div_ceil(workers);
-    let collected: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, R)> = Vec::with_capacity(per_worker);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        local.push((i, f(i, item)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // tidy:allow(panic: re-raises a worker's panic on the caller; swallowing it would fabricate results)
-            .map(|h| h.join().expect("parallel map worker panicked"))
-            .collect()
-    });
-
-    // Reassemble in input order directly: indices are a permutation of
-    // 0..n (each claimed exactly once), so a sort by index restores
-    // input order without the former `Vec<Option<R>>` staging pass and
-    // its per-item double move.
-    let mut flat: Vec<(usize, R)> = collected.into_iter().flatten().collect();
-    flat.sort_unstable_by_key(|&(i, _)| i);
-    flat.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn preserves_input_order() {
-        let items: Vec<usize> = (0..257).collect();
-        let out = par_map(8, &items, |i, &x| {
-            assert_eq!(i, x);
-            x * 3
-        });
-        assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn thread_count_does_not_change_results() {
-        let items: Vec<u64> = (0..100).collect();
-        let f = |_: usize, &x: &u64| x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
-        let serial = par_map(1, &items, f);
-        for threads in [2, 3, 8, 64] {
-            assert_eq!(par_map(threads, &items, f), serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn empty_and_single_item_inputs() {
-        let empty: Vec<u8> = vec![];
-        assert!(par_map(4, &empty, |_, &x| x).is_empty());
-        assert_eq!(par_map(4, &[7u8], |_, &x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn zero_threads_runs_inline() {
-        assert_eq!(par_map(0, &[1, 2, 3], |_, &x| x * 2), vec![2, 4, 6]);
-    }
 
     #[test]
     fn default_threads_is_positive() {

@@ -1,26 +1,23 @@
 //! Persistent worker pool with sticky per-worker scratch and
 //! deterministic, input-ordered results.
 //!
-//! [`parallel::par_map`] spawns fresh OS
-//! threads on every call, which is fine for one-shot sweeps but wasteful
-//! for streaming decodes that fan out per *frame*: a long stream pays a
-//! spawn (and a cold scratch build) per frame per worker. [`WorkerPool`]
+//! Spawning fresh OS threads on every call would be wasteful for
+//! streaming decodes that fan out per *frame*: a long stream would pay
+//! a spawn (and a cold scratch build) per frame per worker. [`WorkerPool`]
 //! amortizes both. Workers are spawned once — on first demand, up to the
 //! pool's cap — then park on a condvar work queue; each worker keeps a
 //! [`WorkerScratch`] of sticky, type-keyed slots (e.g. a warm solver
 //! workspace keyed by tile geometry) that survives across tasks, maps,
 //! and frames, so the steady state allocates nothing and spawns nothing.
 //!
-//! The determinism contract matches `par_map`: results are assembled by
-//! input index, so [`WorkerPool::map`] output is **bit-identical at any
-//! thread count** whenever the task function is itself deterministic.
-//! Panics inside tasks are caught on the worker, re-raised on the
-//! caller after the map drains, and never kill pool workers.
+//! Results are assembled by input index, so [`WorkerPool::map`] output
+//! is **bit-identical at any thread count** whenever the task function
+//! is itself deterministic. Panics inside tasks are caught on the
+//! worker, re-raised on the caller after the map drains, and never kill
+//! pool workers.
 //!
 //! Because workers are long-lived, tasks must be `'static`: callers
 //! hand the pool owned items and owned (or `Arc`-shared) captures.
-//! Borrowed-closure sweeps stay on `par_map`, which remains the scoped
-//! fallback.
 //!
 //! Nesting is safe by construction: a `map` issued *from a pool worker*
 //! runs inline on that worker (no new tickets, no oversubscription, no
@@ -408,8 +405,7 @@ impl WorkerPool {
     /// # Panics
     ///
     /// Re-raises the first panic observed among the items (after every
-    /// item has executed), matching
-    /// [`par_map`](crate::parallel::par_map). Workers survive.
+    /// item has executed). Workers survive.
     pub fn map<T, R, F>(&self, threads: usize, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send + 'static,
@@ -592,6 +588,8 @@ mod tests {
         let empty: Vec<u8> = Vec::new();
         assert!(pool.map(4, empty, |_, x: u8, _| x).is_empty());
         assert_eq!(pool.map(4, vec![7u8], |_, x, _| x + 1), vec![8]);
+        // Zero threads runs inline, like one.
+        assert_eq!(pool.map(0, vec![1, 2, 3], |_, x, _| x * 2), vec![2, 4, 6]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Integration: the persistent decode executor — the pooled tiled
 //! decode path must be observationally indistinguishable from the
-//! serial and spawn-per-call paths at every thread count, whether
-//! frames arrive one push at a time or pipeline through a single push,
-//! whether tiles are all present or erased by wire damage, and whether
-//! the session was prewarmed or not. Only throughput may differ.
+//! serial path at every thread count, whether frames arrive one push
+//! at a time or pipeline through a single push, whether tiles are all
+//! present or erased by wire damage, and whether the session was
+//! prewarmed or not. Only throughput may differ.
 
 use tepics::core::stream::RESILIENT_TILED_HEADER_BYTES;
 use tepics::core::FaultInjector;
@@ -46,9 +46,9 @@ fn drain(
     (frames, dec.report())
 }
 
-/// The acceptance property of the executor rework: pooled and
-/// spawn-per-call decodes are bit-identical to the serial reference at
-/// every thread count, frames and report alike.
+/// The acceptance property of the executor rework: pooled decodes are
+/// bit-identical to the serial reference at every thread count, frames
+/// and report alike.
 #[test]
 fn executors_are_bit_identical_at_every_thread_count() {
     let (bytes, _) = tiled_stream(0x9001, 3);
@@ -56,12 +56,10 @@ fn executors_are_bit_identical_at_every_thread_count() {
         d.threads(1);
     });
     for threads in [2, 4, 7] {
-        for executor in [DecodeExecutor::Pooled, DecodeExecutor::SpawnPerCall] {
-            let got = drain(&bytes, |d| {
-                d.threads(threads).executor(executor);
-            });
-            assert_eq!(got, reference, "threads {threads}, {executor:?} diverged");
-        }
+        let got = drain(&bytes, |d| {
+            d.threads(threads);
+        });
+        assert_eq!(got, reference, "threads {threads} diverged");
     }
 }
 
@@ -99,7 +97,7 @@ fn single_push_pipelining_matches_frame_aligned_pushes() {
 
 /// Erasure handling rides through the pool unchanged: a wire-damaged
 /// resilient stream degrades to the same frames and the same ledger on
-/// every executor, under both lenient policies.
+/// the pool as serially, under both lenient policies.
 #[test]
 fn erased_tiles_decode_identically_on_every_executor() {
     let mut enc = EncodeSession::with_profile(tiled_imager(0xE5A), WireProfile::Resilient).unwrap();
@@ -123,12 +121,10 @@ fn erased_tiles_decode_identically_on_every_executor() {
             reference.1.tiles_erased > 0,
             "{policy:?}: damage must erase at least one tile for this test to bite"
         );
-        for executor in [DecodeExecutor::Pooled, DecodeExecutor::SpawnPerCall] {
-            let got = drain(&dirty, |d| {
-                d.threads(4).erasure_policy(policy).executor(executor);
-            });
-            assert_eq!(got, reference, "{policy:?} via {executor:?} diverged");
-        }
+        let got = drain(&dirty, |d| {
+            d.threads(4).erasure_policy(policy);
+        });
+        assert_eq!(got, reference, "{policy:?} via the pool diverged");
     }
 }
 

@@ -105,12 +105,12 @@ fn batch_runs_identical_across_thread_counts_for_all_solvers() {
     let k = im.capture(&scenes[0]).samples.len();
     for kind in SolverKind::shootout_set(k) {
         let serial = BatchRunner::with_threads(1)
-            .run_with(&im, &scenes, |d| {
+            .run_with(&im, &scenes, move |d| {
                 d.algorithm(kind);
             })
             .unwrap();
         let parallel = BatchRunner::with_threads(4)
-            .run_with(&im, &scenes, |d| {
+            .run_with(&im, &scenes, move |d| {
                 d.algorithm(kind);
             })
             .unwrap();
