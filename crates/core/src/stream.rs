@@ -1451,4 +1451,72 @@ mod tests {
         assert_eq!(got, frames.len() - 1, "only the cut record is lost");
         assert!(!parser.is_malformed());
     }
+
+    /// Exact wire bytes of every container version: the stream header
+    /// plus one three-sample record (`[1, 2, 3]` at 5 bits packs
+    /// MSB-first to `08 86`). Round-trip tests cannot see a layout
+    /// change that writer and parser make together; this table can.
+    #[test]
+    fn golden_wire_bytes_for_every_container_version() {
+        const BASE: [u8; 23] = [
+            b'T', b'E', b'P', b'S', 0, // magic, version (patched per row)
+            16, 0, 16, 0, 8, 5, // rows, cols, code_bits, sample_bits
+            0x11, 30, 64, 0, // rule 30, 1 step/sample, warm-up 64
+            8, 7, 6, 5, 4, 3, 2, 1, // seed
+        ];
+        const TILE_EXT: [u8; 7] = [40, 0, 28, 0, 4, 0, 1]; // 40×28, overlap 4, feather
+        const COMPACT_RECORD: [u8; 7] = [0xF5, 3, 0, 0, 0, 0x08, 0x86];
+        const RESILIENT_RECORD: [u8; 17] = [
+            0x5A, 0xC3, 0x96, 0x69, // sync word before record 0
+            0xF5, 0, 0, 0, 0, 3, 0, 0, 0, 0x06, // marker, seq, count, prefix CRC
+            0x08, 0x86, 0x33, // payload, payload CRC
+        ];
+        let header = FrameHeader {
+            rows: 16,
+            cols: 16,
+            code_bits: 8,
+            sample_bits: 5,
+            strategy: StrategyKind::rule30(64),
+            seed: 0x0102_0304_0506_0708,
+        };
+        let layout = tiled_layout();
+        let cases: [(&str, Option<&TileLayout>, WireProfile, u8, Vec<u8>); 4] = [
+            ("v1", None, WireProfile::Compact, 1, vec![]),
+            (
+                "v2",
+                Some(&layout),
+                WireProfile::Compact,
+                2,
+                TILE_EXT.to_vec(),
+            ),
+            ("v3 untiled", None, WireProfile::Resilient, 3, vec![0, 0xB6]),
+            (
+                "v3 tiled",
+                Some(&layout),
+                WireProfile::Resilient,
+                3,
+                [&[1][..], &TILE_EXT, &[0x64]].concat(),
+            ),
+        ];
+        for (name, layout, profile, version, tail) in cases {
+            let mut writer = StreamWriter::for_profile(header, layout, profile).unwrap();
+            writer.push_samples(&[1, 2, 3]).unwrap();
+            let mut expected = BASE.to_vec();
+            expected[4] = version;
+            expected.extend_from_slice(&tail);
+            let header_len = expected.len();
+            let record: &[u8] = if version == 3 {
+                &RESILIENT_RECORD
+            } else {
+                &COMPACT_RECORD
+            };
+            expected.extend_from_slice(record);
+            assert_eq!(writer.bytes(), expected.as_slice(), "{name}");
+            assert_eq!(writer.wire_version(), version, "{name}");
+            let mut parser = StreamParser::new();
+            parser.push_bytes(&expected[..header_len]);
+            assert!(parser.next_frame().unwrap().is_none(), "{name}");
+            assert_eq!(parser.wire_version(), Some(version), "{name}");
+        }
+    }
 }
