@@ -53,7 +53,7 @@ pub fn run() -> String {
                     .seed(0xFFB)
                     .fidelity(Fidelity::Functional)
                     .build()?;
-                evaluate_with_cache(&cache, &imager, |_| {}, &scene)
+                evaluate_with_cache(&cache, &imager, RecoveryParams::default(), &scene)
             })
             .expect("full-frame sweep pipeline");
         // Block baseline on the same code images, fanned across the

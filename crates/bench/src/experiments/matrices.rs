@@ -85,7 +85,7 @@ pub fn run() -> String {
             .fidelity(Fidelity::Functional)
             .build()
             .unwrap();
-        let report = evaluate(&imager, |_| {}, &scene).unwrap();
+        let report = evaluate(&imager, &scene).unwrap();
         t.row_owned(vec![
             name.into(),
             format!("{:.1}", report.psnr_code_db),

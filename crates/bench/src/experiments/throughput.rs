@@ -106,8 +106,8 @@ fn run_sized(
     let host_parallelism = std::thread::available_parallelism().map_or(1, usize::from);
     let cache = OperatorCache::shared();
 
-    // Serial reference for bit-identity (threads 1 ⇒ inline on the
-    // session workspace); also warms the shared operator cache so
+    // Serial reference for bit-identity (threads 1 ⇒ the tile map runs
+    // inline on this thread); also warms the shared operator cache so
     // every timed run below is operator-warm.
     let (reference, _, _) = timed_decode(&bytes, &cache, 1, &warm);
     assert_eq!(reference.len(), frames, "stream must decode all frames");

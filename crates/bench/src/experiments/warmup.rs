@@ -71,7 +71,7 @@ pub fn run() -> String {
                 .build()?;
             // Each grid point is its own cache key (the strategy is the
             // knob under test); the shared cache still dedups dictionaries.
-            evaluate_with_cache(&cache, &imager, |_| {}, &scene)
+            evaluate_with_cache(&cache, &imager, RecoveryParams::default(), &scene)
         })
         .expect("warmup sweep pipeline");
     let mut t = Table::new(&["warmup", "steps/sample", "PSNR (dB)", "SSIM"]);

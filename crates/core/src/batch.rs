@@ -7,7 +7,9 @@
 //! — so [`BatchRunner`] fans them across the persistent
 //! [`WorkerPool`] and aggregates the per-item [`PipelineReport`]s into
 //! batch statistics: mean/percentile PSNR, total bits on the wire, and
-//! end-to-end throughput in frames per second.
+//! end-to-end throughput in frames per second. Solver and dictionary
+//! are chosen per batch with one [`RecoveryParams`] value
+//! ([`BatchRunner::run_with`]).
 //!
 //! Determinism: results are collected in input order and every per-item
 //! computation is seeded, so a batch produces **bit-identical reports
@@ -43,6 +45,7 @@ use crate::error::CoreError;
 use crate::imager::CompressiveImager;
 use crate::pipeline::{evaluate_with_cache, PipelineReport};
 use crate::session::{DecodeReport, DecodeSession, DecodedFrame, ErasurePolicy};
+use crate::solver::RecoveryParams;
 use tepics_imaging::ImageF64;
 use tepics_util::parallel::default_threads;
 use tepics_util::pool::WorkerPool;
@@ -98,8 +101,8 @@ impl BatchRunner {
         &self.cache
     }
 
-    /// Runs the standard pipeline ([`evaluate_with_cache`] with a
-    /// default-configured decoder and the runner's shared cache) over
+    /// Runs the standard pipeline ([`evaluate_with_cache`] with the
+    /// default [`RecoveryParams`] and the runner's shared cache) over
     /// `scenes` with a shared imager. The imager and scenes are copied
     /// once into owned jobs for the pool.
     ///
@@ -112,13 +115,12 @@ impl BatchRunner {
         imager: &CompressiveImager,
         scenes: &[ImageF64],
     ) -> Result<BatchOutcome, CoreError> {
-        self.run_with(imager, scenes, |_| {})
+        self.run_with(imager, scenes, RecoveryParams::default())
     }
 
-    /// Like [`BatchRunner::run`], applying `configure` to every item's
-    /// decoder first — the batch-scale entry point for solver and
-    /// dictionary selection (e.g.
-    /// `runner.run_with(&im, &scenes, |d| { d.algorithm(kind); })`).
+    /// Like [`BatchRunner::run`], decoding every item with `params` —
+    /// the batch-scale entry point for solver and dictionary selection
+    /// (e.g. `runner.run_with(&im, &scenes, RecoveryParams::low_latency())`).
     /// The per-solver cache entries (operator norms, column views) are
     /// shared across items exactly like the operator itself, and results
     /// stay bit-identical at any thread count.
@@ -131,12 +133,12 @@ impl BatchRunner {
         &self,
         imager: &CompressiveImager,
         scenes: &[ImageF64],
-        configure: impl Fn(&mut crate::decoder::Decoder) + Send + Sync + 'static,
+        params: RecoveryParams,
     ) -> Result<BatchOutcome, CoreError> {
         let cache = self.cache.clone();
         let imager = imager.clone();
         self.run_jobs(scenes.to_vec(), move |scene| {
-            evaluate_with_cache(&cache, &imager, &configure, &scene)
+            evaluate_with_cache(&cache, &imager, params, &scene)
         })
     }
 
@@ -145,13 +147,12 @@ impl BatchRunner {
     /// input order and bit-identical at any thread count.
     ///
     /// Streams are scheduled on the process-wide persistent
-    /// [`WorkerPool`], and each stream's
-    /// session inherits the runner's thread count, so a batch of few
-    /// (even one) tiled streams still parallelizes over its inner
-    /// tiles. Oversubscription is impossible by construction: a stream
-    /// already running *on* a pool worker decodes its tiles serially on
-    /// that worker's warm workspace (the pool's nested-use guard)
-    /// rather than fanning out again.
+    /// [`WorkerPool`], and each stream's session inherits the runner's
+    /// thread count, so a batch of few (even one) tiled streams still
+    /// parallelizes over its inner tiles. Oversubscription is
+    /// impossible by construction: a tile map issued from a pool worker
+    /// runs inline on that worker (the pool's nested-use guard), on a
+    /// fresh workspace per push, rather than fanning out again.
     ///
     /// Per-stream failures are **isolated**: a corrupt stream records
     /// its error (and whatever frames decoded before it) in its own
@@ -635,7 +636,7 @@ mod tests {
                 .fidelity(Fidelity::Functional)
                 .build()
                 .unwrap();
-            evaluate(&im, |_| {}, &scene)
+            evaluate(&im, &scene)
         };
         let outcome = BatchRunner::with_threads(4)
             .run_jobs(seeds.to_vec(), job.clone())

@@ -65,7 +65,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use crate::decoder::{build_dictionary, DictImpl, DictionaryKind};
+use crate::decoder::{build_dictionary, build_measurement, DictImpl, DictionaryKind};
 use crate::error::CoreError;
 use crate::strategy::StrategyKind;
 use tepics_cs::colview::ColumnMatrix;
@@ -465,9 +465,7 @@ impl OperatorCache {
         let entry = self.get_or_build(AnyKey::Op(*key), || {
             built = true;
             self.misses.fetch_add(1, Ordering::Relaxed);
-            let (rows, cols) = (key.rows as usize, key.cols as usize);
-            let mut source = key.strategy.build_source(rows + cols, key.seed)?;
-            let phi = XorMeasurement::from_source(rows, cols, source.as_mut(), key.k);
+            let phi = build_measurement(key)?;
             let counts = phi.selection_counts();
             let bytes = phi.bytes() + counts.len() * std::mem::size_of::<f64>();
             Ok((Entry::Op(Arc::new(phi), Arc::new(counts)), bytes))

@@ -70,6 +70,17 @@ pub(crate) fn build_dictionary(kind: DictionaryKind, rows: usize, cols: usize) -
     }
 }
 
+/// Builds the measurement operator for `key` by replaying its strategy
+/// from the seed, exactly as the sensor generated it. The one Φ builder
+/// behind both the [`OperatorCache`] and
+/// [`Decoder::rebuild_measurement`].
+pub(crate) fn build_measurement(key: &OperatorKey) -> Result<XorMeasurement, CoreError> {
+    let (rows, cols) = (key.rows as usize, key.cols as usize);
+    let mut source = key.strategy.build_source(rows + cols, key.seed)?;
+    let phi = XorMeasurement::from_source(rows, cols, source.as_mut(), key.k);
+    Ok(phi)
+}
+
 impl Dictionary for DictImpl {
     fn dim(&self) -> usize {
         match self {
@@ -198,8 +209,7 @@ pub struct Decoder {
     strategy: StrategyKind,
     seed: u64,
     code_max: f64,
-    dictionary: DictionaryKind,
-    algorithm: SolverKind,
+    params: RecoveryParams,
     cache: Option<Arc<OperatorCache>>,
 }
 
@@ -228,15 +238,14 @@ impl Decoder {
             strategy: h.strategy,
             seed: h.seed,
             code_max: ((1u32 << h.code_bits) - 1) as f64,
-            dictionary: DictionaryKind::Dct2d,
-            algorithm: SolverKind::default(),
+            params: RecoveryParams::default(),
             cache: None,
         })
     }
 
     /// Selects the sparsifying dictionary.
     pub fn dictionary(&mut self, kind: DictionaryKind) -> &mut Self {
-        self.dictionary = kind;
+        self.params.dictionary = kind;
         self
     }
 
@@ -244,13 +253,14 @@ impl Decoder {
     /// dispatched dynamically through the
     /// [`Solver`] trait).
     pub fn algorithm(&mut self, algorithm: SolverKind) -> &mut Self {
-        self.algorithm = algorithm;
+        self.params.solver = algorithm;
         self
     }
 
     /// Applies a bundled [`RecoveryParams`] (solver + dictionary).
     pub fn params(&mut self, params: RecoveryParams) -> &mut Self {
-        self.algorithm(params.solver).dictionary(params.dictionary)
+        self.params = params;
+        self
     }
 
     /// Attaches a shared operator cache: Φ, the selection counts, the
@@ -281,15 +291,7 @@ impl Decoder {
     /// Returns [`CoreError::InvalidConfig`] if the strategy parameters
     /// are invalid.
     pub fn rebuild_measurement(&self, k: usize) -> Result<XorMeasurement, CoreError> {
-        let mut source = self
-            .strategy
-            .build_source(self.rows + self.cols, self.seed)?;
-        Ok(XorMeasurement::from_source(
-            self.rows,
-            self.cols,
-            source.as_mut(),
-            k,
-        ))
+        build_measurement(&self.operator_key(k))
     }
 
     /// Reconstructs the code image from a frame.
@@ -333,6 +335,7 @@ impl Decoder {
             return Err(CoreError::MalformedFrame("frame has no samples".into()));
         }
         let k = frame.samples.len();
+        let (kind, dictionary) = (self.params.solver, self.params.dictionary);
         // Operator + dictionary: from the shared cache when attached
         // (built once per key), cold otherwise. Warm values are
         // bit-identical to a cold rebuild, so the two paths produce the
@@ -340,13 +343,13 @@ impl Decoder {
         let (phi, counts, dict) = match &self.cache {
             Some(cache) => {
                 let (phi, counts) = cache.operator(&self.operator_key(k))?;
-                let dict = cache.dictionary(self.dictionary, self.rows as u16, self.cols as u16);
+                let dict = cache.dictionary(dictionary, self.rows as u16, self.cols as u16);
                 (phi, counts, dict)
             }
             None => {
                 let phi = Arc::new(self.rebuild_measurement(k)?);
                 let counts = Arc::new(phi.selection_counts());
-                let dict = Arc::new(build_dictionary(self.dictionary, self.rows, self.cols));
+                let dict = Arc::new(build_dictionary(dictionary, self.rows, self.cols));
                 (phi, counts, dict)
             }
         };
@@ -376,15 +379,15 @@ impl Decoder {
         // property-tested), while CoSaMP's restricted least squares
         // takes a different summation path through the view, so it must
         // build cold too to keep warm decodes bit-identical to cold.
-        let a = if self.algorithm.column_hungry() {
+        let a = if kind.column_hungry() {
             match &self.cache {
                 Some(cache) => {
-                    let view = cache.column_view(&self.operator_key(k), self.dictionary, || {
+                    let view = cache.column_view(&self.operator_key(k), dictionary, || {
                         ColumnMatrix::from_operator(&a)
                     });
                     a.with_column_view(view)
                 }
-                None if self.algorithm.view_changes_results() => {
+                None if kind.view_changes_results() => {
                     let view = Arc::new(ColumnMatrix::from_operator(&a));
                     a.with_column_view(view)
                 }
@@ -398,11 +401,11 @@ impl Decoder {
         // when a cache is attached, computed identically otherwise. The
         // value mirrors each solver's own seeded derivation exactly, so
         // the override is bit-transparent.
-        let norm = self.algorithm.norm_seed().and_then(|seed| {
+        let norm = kind.norm_seed().and_then(|seed| {
             let compute = || op::operator_norm_est(&a, 30, seed);
             match &self.cache {
                 Some(cache) => {
-                    cache.operator_norm(&self.operator_key(k), self.dictionary, seed, compute)
+                    cache.operator_norm(&self.operator_key(k), dictionary, seed, compute)
                 }
                 None => {
                     let norm = compute();
@@ -410,10 +413,10 @@ impl Decoder {
                 }
             }
         });
-        let built = self.algorithm.instantiate(norm);
+        let built = kind.instantiate(norm);
         let base = built.as_solver();
         let debiased;
-        let solver: &dyn Solver = if self.algorithm.debias() {
+        let solver: &dyn Solver = if kind.debias() {
             debiased = Debias::new(base, k / 2);
             &debiased
         } else {

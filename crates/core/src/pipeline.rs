@@ -8,12 +8,12 @@
 use std::sync::Arc;
 
 use crate::cache::OperatorCache;
-use crate::decoder::Decoder;
 use crate::error::CoreError;
 use crate::frame::CompressedFrame;
 use crate::imager::CompressiveImager;
 use crate::params;
 use crate::session::{DecodeSession, EncodeSession};
+use crate::solver::RecoveryParams;
 use tepics_imaging::{psnr, ssim, ImageF64, Scene};
 use tepics_sensor::EventStats;
 
@@ -45,7 +45,7 @@ impl PipelineReport {
 }
 
 /// Captures `scene`, round-trips the frame through the wire codec, and
-/// reconstructs with `decoder_config` applied to a fresh decoder.
+/// reconstructs it with the default [`RecoveryParams`].
 ///
 /// Thin layer over [`evaluate_with_cache`] with a private, single-use
 /// cache.
@@ -57,18 +57,16 @@ impl PipelineReport {
 /// # Panics
 ///
 /// Panics if the scene size does not match the imager.
-pub fn evaluate(
-    imager: &CompressiveImager,
-    configure: impl FnOnce(&mut Decoder),
-    scene: &ImageF64,
-) -> Result<PipelineReport, CoreError> {
-    evaluate_with_cache(&OperatorCache::shared(), imager, configure, scene)
+pub fn evaluate(imager: &CompressiveImager, scene: &ImageF64) -> Result<PipelineReport, CoreError> {
+    let cache = OperatorCache::shared();
+    evaluate_with_cache(&cache, imager, RecoveryParams::default(), scene)
 }
 
-/// [`evaluate`] decoding through a shared [`OperatorCache`]: callers
-/// evaluating many scenes with one imager (suites, batches) reuse the
-/// measurement operator, dictionary, and FISTA step size across calls.
-/// Warm results are bit-identical to cold ones.
+/// [`evaluate`] decoding with `params` through a shared
+/// [`OperatorCache`]: callers evaluating many scenes with one imager
+/// (suites, batches) reuse the measurement operator, dictionary, and
+/// FISTA step size across calls. Warm results are bit-identical to cold
+/// ones.
 ///
 /// The capture is transported through the session layer
 /// ([`EncodeSession`] → [`DecodeSession::push_bytes`]), so every
@@ -90,7 +88,7 @@ pub fn evaluate(
 pub fn evaluate_with_cache(
     cache: &Arc<OperatorCache>,
     imager: &CompressiveImager,
-    configure: impl FnOnce(&mut Decoder),
+    params: RecoveryParams,
     scene: &ImageF64,
 ) -> Result<PipelineReport, CoreError> {
     // Always exercise the wire codec: transmit and re-parse.
@@ -98,7 +96,7 @@ pub fn evaluate_with_cache(
     let (frames, event_stats) = enc.capture_with_stats(scene)?;
     let header = *enc.header();
     let mut session = DecodeSession::with_cache(cache.clone());
-    configure(session.prime(&header)?);
+    session.params(params);
     let decoded = session.push_bytes(&enc.to_bytes())?;
     let recon = &decoded
         .last()
@@ -141,7 +139,7 @@ pub fn evaluate_suite(
     let mut out = Vec::new();
     for (name, scene) in Scene::evaluation_suite() {
         let img = scene.render(size, size, scene_seed);
-        let report = evaluate_with_cache(&cache, imager, |_| {}, &img)?;
+        let report = evaluate_with_cache(&cache, imager, RecoveryParams::default(), &img)?;
         out.push((name, report));
     }
     Ok(out)
@@ -218,7 +216,7 @@ mod tests {
     fn report_fields_are_consistent() {
         let im = imager();
         let scene = Scene::gaussian_blobs(2).render(16, 16, 9);
-        let report = evaluate(&im, |_| {}, &scene).unwrap();
+        let report = evaluate(&im, &scene).unwrap();
         assert!((report.ratio - 90.0 / 256.0).abs() < 1e-9);
         assert!(report.psnr_code_db > 15.0);
         assert!(report.ssim_code > 0.3);
@@ -233,7 +231,7 @@ mod tests {
         // must save wire bits even with header overhead.
         let im = imager();
         let scene = Scene::natural_like().render(16, 16, 2);
-        let report = evaluate(&im, |_| {}, &scene).unwrap();
+        let report = evaluate(&im, &scene).unwrap();
         assert!(
             report.wire_saving() > 0.0,
             "saving {} should be positive at R=0.35",
@@ -265,7 +263,7 @@ mod tests {
             .build()
             .unwrap();
         let scene = Scene::gaussian_blobs(3).render(40, 28, 6);
-        let report = evaluate(&im, |_| {}, &scene).unwrap();
+        let report = evaluate(&im, &scene).unwrap();
         // Full-frame raw accounting (40·28 px at 8-bit codes).
         assert_eq!(report.raw_bits, 40 * 28 * 8);
         // Six tiles at ⌈0.35·256⌉ samples each.

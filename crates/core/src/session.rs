@@ -33,15 +33,16 @@
 //! deterministic, so decoded frames are bit-identical at every thread
 //! count.
 //!
-//! Parallel tiled decodes run on the process-wide persistent
-//! [`WorkerPool`]: workers are spawned once, keep a warm per-geometry
-//! solver workspace each, and when a single
+//! Tiled decodes take one route, the process-wide persistent
+//! [`WorkerPool`]: workers are spawned once, every executor keeps a warm
+//! per-geometry solver workspace, and when a single
 //! [`DecodeSession::push_bytes`] call completes the tile groups of
 //! several frames, all their tiles fan out across the pool together —
 //! frames of one stream *pipeline* instead of decoding strictly one
-//! after another. [`DecodeSession::prewarm`] primes every
-//! executor up front so the steady state spawns no threads and
-//! allocates nothing.
+//! after another. At one thread, and for a session driven from a pool
+//! worker, the same map runs inline on the calling thread.
+//! [`DecodeSession::prewarm`] primes every executor up front so the
+//! steady state spawns no threads and allocates nothing.
 //!
 //! # Examples
 //!
@@ -85,7 +86,7 @@ use tepics_imaging::tile::{fill_uncovered, merge_tiles_sparse, TileLayout};
 use tepics_imaging::ImageF64;
 use tepics_recovery::{Iht, SolveStats, SolverWorkspace};
 use tepics_sensor::EventStats;
-use tepics_util::pool::{self, WorkerPool};
+use tepics_util::pool::WorkerPool;
 
 /// Capture-side session: scenes in, one contiguous wire stream out.
 #[derive(Debug, Clone)]
@@ -121,7 +122,7 @@ impl EncodeSession {
         profile: WireProfile,
     ) -> Result<EncodeSession, CoreError> {
         let header = imager.frame_header();
-        let writer = StreamWriter::for_profile(header, imager.tile_layout(), profile)?;
+        let writer = StreamWriter::new(header, imager.tile_layout(), profile)?;
         Ok(EncodeSession { imager, writer })
     }
 
@@ -343,8 +344,6 @@ pub struct DecodedFrame {
 struct GroupJob {
     /// Stream position of the frame this group stitches into.
     index: usize,
-    /// Tiles erased from the group (0 for a compact/complete group).
-    erased: usize,
     /// The tile records, row-major.
     slots: Vec<Option<CompressedFrame>>,
 }
@@ -411,8 +410,7 @@ pub struct DecodeSession {
     parser: StreamParser,
     cache: Arc<OperatorCache>,
     decoder: Option<Arc<Decoder>>,
-    dictionary: DictionaryKind,
-    algorithm: SolverKind,
+    params: RecoveryParams,
     delta: Option<DeltaMode>,
     header: Option<FrameHeader>,
     prev_samples: Option<Vec<u32>>,
@@ -422,10 +420,9 @@ pub struct DecodeSession {
     decoded: usize,
     /// Worker threads for tiled decodes (0 and 1 both mean inline).
     threads: usize,
-    /// Tile records of the frame currently being assembled (tiled
-    /// streams buffer `layout.tiles()` records before decoding).
-    pending: Vec<CompressedFrame>,
-    /// Reused solver buffers: one allocation for the whole stream.
+    /// Reused solver buffers of untiled and delta decodes: one
+    /// allocation for the whole stream. Tiled decodes solve on the
+    /// executors' sticky workspaces instead.
     workspace: SolverWorkspace,
     /// Erased-tile handling for resilient tiled streams.
     policy: ErasurePolicy,
@@ -436,8 +433,9 @@ pub struct DecodeSession {
     /// Set when a gap was detected in delta mode: the next frame must
     /// re-anchor with full recovery instead of chaining a delta.
     reanchor: bool,
-    /// Slot-addressed tile group of a resilient tiled stream
-    /// (`seq % tiles` indexes the slot; erased tiles stay `None`).
+    /// Slot-addressed tile group being assembled (`seq % tiles`
+    /// indexes the slot; erased tiles of a resilient stream stay
+    /// `None`).
     slots: Vec<Option<CompressedFrame>>,
     /// Frame index of the group in `slots`, if one is in progress.
     group_idx: Option<usize>,
@@ -474,27 +472,29 @@ impl DecodeSession {
 
     /// Selects the sparsifying dictionary for key frames.
     pub fn dictionary(&mut self, kind: DictionaryKind) -> &mut Self {
-        self.dictionary = kind;
-        if let Some(d) = &mut self.decoder {
-            Arc::make_mut(d).dictionary(kind);
-        }
-        self
+        self.params(RecoveryParams {
+            dictionary: kind,
+            ..self.params
+        })
     }
 
     /// Selects the recovery algorithm for key frames (any
     /// [`SolverKind`]).
     pub fn algorithm(&mut self, algorithm: SolverKind) -> &mut Self {
-        self.algorithm = algorithm;
-        if let Some(d) = &mut self.decoder {
-            Arc::make_mut(d).algorithm(algorithm);
-        }
-        self
+        self.params(RecoveryParams {
+            solver: algorithm,
+            ..self.params
+        })
     }
 
     /// Applies a bundled [`RecoveryParams`] (solver + dictionary) for
-    /// key frames.
+    /// key frames. Any setter may be called mid-stream: it drops the
+    /// session's decoder, and the next frame re-primes one from the
+    /// operator cache, which holds all the heavy state.
     pub fn params(&mut self, params: RecoveryParams) -> &mut Self {
-        self.algorithm(params.solver).dictionary(params.dictionary)
+        self.params = params;
+        self.decoder = None;
+        self
     }
 
     /// Sets the worker-thread count for tiled decodes (default inline).
@@ -561,8 +561,8 @@ impl DecodeSession {
         self
     }
 
-    /// The stream header, once known (from priming or the first parsed
-    /// bytes).
+    /// The stream header (the tile header on a tiled stream), once the
+    /// first frame has been decoded or prewarmed.
     pub fn header(&self) -> Option<&FrameHeader> {
         self.header.as_ref()
     }
@@ -577,43 +577,20 @@ impl DecodeSession {
         self.parser.buffered_bytes()
     }
 
-    /// Builds (or returns) the per-frame decoder for `header`, giving
-    /// access to its dictionary/algorithm knobs before any frame is
-    /// decoded.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::MalformedFrame`] for degenerate headers.
-    pub fn prime(&mut self, header: &FrameHeader) -> Result<&mut Decoder, CoreError> {
-        self.ensure_primed(header)?;
-        self.decoder
-            .as_mut()
-            .map(Arc::make_mut)
-            .ok_or_else(|| CoreError::InvalidConfig("decode session failed to prime".into()))
-    }
-
-    /// Builds the decoder for `header` if none exists yet. The decode
-    /// paths use this instead of [`DecodeSession::prime`]: they only
-    /// read the decoder (through its `Arc`), and `Arc::make_mut` would
-    /// clone it whenever a drained pool ticket still holds a transient
-    /// reference — a timing-dependent allocation the warm steady state
-    /// must not have.
-    fn ensure_primed(&mut self, header: &FrameHeader) -> Result<(), CoreError> {
-        if self.decoder.is_none() {
-            let mut decoder = Decoder::for_header(header)?;
-            decoder
-                .dictionary(self.dictionary)
-                .algorithm(self.algorithm)
-                .use_cache(self.cache.clone());
-            self.decoder = Some(Arc::new(decoder));
-            self.header = Some(*header);
+    /// The session's decoder, built on the first frame and again after
+    /// a setter dropped it. The session stays bound to the first header
+    /// it primed for, so re-priming never changes which frames match.
+    fn decoder_for(&mut self, header: &FrameHeader) -> Result<Arc<Decoder>, CoreError> {
+        if let Some(decoder) = &self.decoder {
+            return Ok(decoder.clone());
         }
-        Ok(())
-    }
-
-    /// Direct access to the per-frame decoder, once primed.
-    pub fn decoder_mut(&mut self) -> Option<&mut Decoder> {
-        self.decoder.as_mut().map(Arc::make_mut)
+        let header = self.header.unwrap_or(*header);
+        let mut decoder = Decoder::for_header(&header)?;
+        decoder.params(self.params).use_cache(self.cache.clone());
+        let decoder = Arc::new(decoder);
+        self.decoder = Some(decoder.clone());
+        self.header = Some(header);
+        Ok(decoder)
     }
 
     /// The session's sticky error, if one occurred: the parser's
@@ -706,22 +683,7 @@ impl DecodeSession {
                             .into(),
                     ));
                 }
-                if resilient {
-                    self.push_resilient_tile(seq, frame, &layout, jobs);
-                } else {
-                    self.pending.push(frame);
-                    if self.pending.len() == layout.tiles() {
-                        let tiles = std::mem::take(&mut self.pending);
-                        // Earlier jobs of this same push haven't bumped
-                        // `decoded` yet; account for them in the index.
-                        let index = self.decoded + jobs.len();
-                        jobs.push(GroupJob {
-                            index,
-                            erased: 0,
-                            slots: tiles.into_iter().map(Some).collect(),
-                        });
-                    }
-                }
+                self.push_tile(seq, frame, &layout, jobs);
             }
             None if resilient => {
                 if seq < self.next_seq {
@@ -735,17 +697,18 @@ impl DecodeSession {
                     }
                 }
                 self.next_seq = seq + 1;
-                out.push(self.decode_indexed(&frame, seq as usize)?);
+                out.push(self.decode(&frame, seq as usize)?);
             }
-            None => out.push(self.decode(&frame)?),
+            None => out.push(self.decode(&frame, self.decoded)?),
         }
         Ok(())
     }
 
-    /// Routes one resilient tiled record into its group slot, flushing
-    /// groups (into `jobs`) as they complete or as the stream moves
-    /// past them.
-    fn push_resilient_tile(
+    /// Routes one tile record into its group slot, flushing groups
+    /// (into `jobs`) as they complete or, on a resilient stream, as the
+    /// stream moves past them. A compact stream numbers its records in
+    /// parse order, so its groups always complete in turn.
+    fn push_tile(
         &mut self,
         seq: u64,
         frame: CompressedFrame,
@@ -796,11 +759,12 @@ impl DecodeSession {
             self.report.frames_lost += 1;
             return None;
         }
-        self.report.tiles_recovered += present;
-        self.report.tiles_erased += total - present;
+        if self.parser.wire_version() == Some(STREAM_VERSION_RESILIENT) {
+            self.report.tiles_recovered += present;
+            self.report.tiles_erased += total - present;
+        }
         Some(GroupJob {
             index: frame_idx,
-            erased: total - present,
             slots: std::mem::take(&mut self.slots),
         })
     }
@@ -816,81 +780,23 @@ impl DecodeSession {
     /// Returns [`CoreError::FrameMismatch`] if the frame does not match
     /// the session, plus any recovery error.
     pub fn push_frame(&mut self, frame: &CompressedFrame) -> Result<DecodedFrame, CoreError> {
-        self.decode(frame)
-    }
-
-    /// Whether this session's tiled decodes fan out on the pool.
-    /// Nested use — a session decoding *on* a pool worker, e.g. a
-    /// batch stream job — runs serially on the worker's own warm
-    /// workspace instead of re-entering the pool.
-    fn pooled(&self) -> bool {
-        self.threads > 1 && !pool::is_worker_thread()
+        self.decode(frame, self.decoded)
     }
 
     /// Decodes buffered tile groups in stream order, appending the
-    /// stitched frames to `out`. On the pooled route the tiles of
-    /// *every* group fan out across the pool in one map — so a push
-    /// that completed several frames pipelines them — while stitching
-    /// and report accounting stay sequential in stream order, keeping
-    /// output and counters bit-identical to group-at-a-time decoding.
+    /// stitched frames to `out`. The tile slots of all groups flatten
+    /// into one [`WorkerPool::map`] — so a push that completed
+    /// several frames pipelines them — and each executor solves on its
+    /// sticky per-geometry workspace (zero allocation once warm). The
+    /// map runs inline on the calling thread at `threads ≤ 1` and when
+    /// called from a pool worker. Stitching and report accounting stay
+    /// sequential in stream order, so output and counters are
+    /// bit-identical at every thread count.
     ///
     /// On a tile decode error the frames stitched before it stay in
     /// `out` (the caller defers the error per the push contract) and
     /// later groups are dropped with the session's sticky error.
     fn decode_jobs(
-        &mut self,
-        jobs: Vec<GroupJob>,
-        layout: &TileLayout,
-        out: &mut Vec<DecodedFrame>,
-    ) -> Result<(), CoreError> {
-        if self.pooled() {
-            return self.decode_jobs_pooled(jobs, layout, out);
-        }
-        for job in jobs {
-            let decoded = self.decode_group(job, layout)?;
-            out.push(decoded);
-        }
-        Ok(())
-    }
-
-    /// Decodes one tile group serially on the session workspace (the
-    /// workspace never changes results, only allocations).
-    fn decode_group(
-        &mut self,
-        job: GroupJob,
-        layout: &TileLayout,
-    ) -> Result<DecodedFrame, CoreError> {
-        let GroupJob {
-            index,
-            erased,
-            slots,
-        } = job;
-        let Some(first) = slots.iter().flatten().next() else {
-            return Err(CoreError::InvalidConfig(
-                "tile group has no surviving tile".into(),
-            ));
-        };
-        self.ensure_primed(&first.header)?;
-        let Some(decoder) = self.decoder.clone() else {
-            return Err(CoreError::InvalidConfig(
-                "decode session has no primed decoder".into(),
-            ));
-        };
-        let mut solved = Vec::with_capacity(slots.len());
-        for slot in &slots {
-            let recon = slot
-                .as_ref()
-                .map(|frame| decoder.reconstruct_with(frame, &mut self.workspace));
-            solved.push(recon.transpose()?);
-        }
-        Ok(self.emit_group(index, erased, &solved, layout))
-    }
-
-    /// Decodes tile groups on the persistent pool: all present tiles of
-    /// all groups flatten into one task list, so one map exploits both
-    /// tile- and frame-level parallelism; each executor solves on its
-    /// sticky per-geometry workspace (zero allocation once warm).
-    fn decode_jobs_pooled(
         &mut self,
         mut jobs: Vec<GroupJob>,
         layout: &TileLayout,
@@ -902,39 +808,26 @@ impl DecodeSession {
             ));
         };
         let key = scratch_key(&first.header);
-        self.ensure_primed(&first.header)?;
-        let Some(decoder) = self.decoder.clone() else {
-            return Err(CoreError::InvalidConfig(
-                "decode session has no primed decoder".into(),
-            ));
-        };
-        let tiles_per = layout.tiles();
-        let mut items: Vec<(usize, CompressedFrame)> = Vec::new();
-        for (j, job) in jobs.iter_mut().enumerate() {
-            for (t, slot) in job.slots.iter_mut().enumerate() {
-                if let Some(frame) = slot.take() {
-                    items.push((j * tiles_per + t, frame));
-                }
-            }
-        }
-        let solved = WorkerPool::global().map(self.threads, items, move |_, (slot, frame), s| {
-            let workspace = s.slot::<SolverWorkspace, _>(key, SolverWorkspace::default);
-            (slot, decoder.reconstruct_with(&frame, workspace))
+        let decoder = self.decoder_for(&first.header)?;
+        let slots: Vec<Option<CompressedFrame>> = jobs
+            .iter_mut()
+            .flat_map(|job| std::mem::take(&mut job.slots))
+            .collect();
+        let solved = WorkerPool::global().map(self.threads, slots, move |_, slot, s| {
+            slot.map(|frame| {
+                let workspace = s.slot::<SolverWorkspace, _>(key, SolverWorkspace::default);
+                decoder.reconstruct_with(&frame, workspace)
+            })
         });
-        let mut recons: Vec<Option<Result<Reconstruction, CoreError>>> = Vec::new();
-        recons.resize_with(jobs.len() * tiles_per, || None);
-        for (slot, result) in solved {
-            recons[slot] = Some(result);
-        }
-        for (j, job) in jobs.into_iter().enumerate() {
-            let mut group = Vec::with_capacity(tiles_per);
-            for recon in recons[j * tiles_per..(j + 1) * tiles_per]
-                .iter_mut()
-                .map(Option::take)
-            {
-                group.push(recon.transpose()?);
-            }
-            out.push(self.emit_group(job.index, job.erased, &group, layout));
+        // Results come back in input order: one run of slots per group.
+        let mut solved = solved.into_iter();
+        for job in jobs {
+            let group = solved
+                .by_ref()
+                .take(layout.tiles())
+                .map(Option::transpose)
+                .collect::<Result<Vec<_>, _>>()?;
+            out.push(self.emit_group(job.index, &group, layout));
         }
         Ok(())
     }
@@ -944,11 +837,11 @@ impl DecodeSession {
     fn emit_group(
         &mut self,
         index: usize,
-        erased: usize,
         recons: &[Option<Reconstruction>],
         layout: &TileLayout,
     ) -> DecodedFrame {
         let reconstruction = stitch_group(recons, layout, self.policy);
+        let erased = recons.iter().filter(|r| r.is_none()).count();
         self.decoded += 1;
         if erased == 0 {
             self.report.frames_recovered += 1;
@@ -963,52 +856,35 @@ impl DecodeSession {
         }
     }
 
-    /// Warms the decode executors for `frame`'s geometry: primes the
+    /// Warms the tile executors for `frame`'s geometry: primes the
     /// decoder (operator-cache build) and runs one solve of `frame` on
-    /// every executor a pooled tiled decode would use — the calling
-    /// thread plus `threads − 1` distinct pool workers — so each
-    /// acquires its sticky per-geometry [`SolverWorkspace`]. After a
-    /// prewarm, steady-state pooled decodes of same-geometry streams
-    /// spawn no threads and allocate nothing.
+    /// every executor a tiled decode uses — the calling thread plus
+    /// `threads − 1` distinct pool workers, so one inline solve at
+    /// `threads ≤ 1` — so each acquires its sticky per-geometry
+    /// [`SolverWorkspace`]. After a prewarm, steady-state tiled decodes
+    /// of same-geometry streams spawn no threads and allocate nothing.
     ///
-    /// Serial (and nested) configurations warm the session's own
-    /// workspace instead. Solve failures while warming are ignored —
-    /// warming is best-effort and never changes results.
+    /// Solve failures while warming are ignored — warming is
+    /// best-effort and never changes results.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::MalformedFrame`] for a degenerate header.
     pub fn prewarm(&mut self, frame: &CompressedFrame) -> Result<(), CoreError> {
-        self.ensure_primed(&frame.header)?;
-        let Some(decoder) = self.decoder.clone() else {
-            return Err(CoreError::InvalidConfig(
-                "decode session has no primed decoder".into(),
-            ));
-        };
-        if self.pooled() {
-            let key = scratch_key(&frame.header);
-            let frame = frame.clone();
-            WorkerPool::global().broadcast(self.threads, move |s| {
-                let workspace = s.slot::<SolverWorkspace, _>(key, SolverWorkspace::default);
-                let _ = decoder.reconstruct_with(&frame, workspace);
-            });
-        } else {
-            let _ = decoder.reconstruct_with(frame, &mut self.workspace);
-        }
+        let decoder = self.decoder_for(&frame.header)?;
+        let key = scratch_key(&frame.header);
+        let frame = frame.clone();
+        WorkerPool::global().broadcast(self.threads, move |s| {
+            let workspace = s.slot::<SolverWorkspace, _>(key, SolverWorkspace::default);
+            let _ = decoder.reconstruct_with(&frame, workspace);
+        });
         Ok(())
     }
 
-    fn decode(&mut self, frame: &CompressedFrame) -> Result<DecodedFrame, CoreError> {
-        let index = self.decoded;
-        self.decode_indexed(frame, index)
-    }
-
-    fn decode_indexed(
-        &mut self,
-        frame: &CompressedFrame,
-        index: usize,
-    ) -> Result<DecodedFrame, CoreError> {
-        self.ensure_primed(&frame.header)?;
+    /// Decodes one untiled frame at stream position `index`: full
+    /// recovery, or a delta against the previous frame in delta mode.
+    fn decode(&mut self, frame: &CompressedFrame, index: usize) -> Result<DecodedFrame, CoreError> {
+        let decoder = self.decoder_for(&frame.header)?;
         if std::mem::take(&mut self.reanchor) {
             // A gap swallowed the frame the next delta would chain
             // from: drop the chain and re-anchor with full recovery.
@@ -1030,17 +906,12 @@ impl DecodeSession {
             _ => true,
         };
         let reconstruction = if is_key {
-            let Some(decoder) = self.decoder.as_ref() else {
-                return Err(CoreError::InvalidConfig(
-                    "decode session has no primed decoder".into(),
-                ));
-            };
             let recon = decoder.reconstruct_with(frame, &mut self.workspace)?;
             self.frames_since_key = 0;
             self.last_mean = recon.mean_code();
             recon
         } else {
-            self.decode_delta(frame)?
+            self.decode_delta(frame, &decoder)?
         };
         if self.delta.is_some() {
             if !is_key {
@@ -1063,15 +934,18 @@ impl DecodeSession {
     /// pixel-sparse (IHT, identity dictionary) against the previous
     /// reconstruction. Same seed ⇒ same Φ, so the operator comes warm
     /// from the cache.
-    fn decode_delta(&mut self, frame: &CompressedFrame) -> Result<Reconstruction, CoreError> {
-        let (Some(prev_samples), Some(prev_codes), Some(delta), Some(decoder)) = (
+    fn decode_delta(
+        &mut self,
+        frame: &CompressedFrame,
+        decoder: &Decoder,
+    ) -> Result<Reconstruction, CoreError> {
+        let (Some(prev_samples), Some(prev_codes), Some(delta)) = (
             self.prev_samples.as_ref(),
             self.prev_codes.as_ref(),
             self.delta,
-            self.decoder.as_ref(),
         ) else {
             return Err(CoreError::InvalidConfig(
-                "delta decode needs a primed decoder, delta mode, and a previous frame".into(),
+                "delta decode needs delta mode and a previous frame".into(),
             ));
         };
         let dy: Vec<f64> = frame

@@ -81,9 +81,11 @@
 //! resynchronize *to* without a header); for versions 1 and 2 every
 //! parse error remains sticky — see [`StreamParser::error`].
 //!
-//! [`StreamWriter`] builds a stream incrementally; [`StreamParser`]
-//! consumes one from arbitrary byte chunks (network reads need not align
-//! with record boundaries). Both are the substrate of the session API
+//! [`StreamWriter::new`] opens any of the three versions — from a
+//! header, an optional tile layout and a [`WireProfile`] — and builds
+//! the stream incrementally; [`StreamParser`] consumes one from
+//! arbitrary byte chunks (network reads need not align with record
+//! boundaries). Both are the substrate of the session API
 //! ([`EncodeSession`](crate::session::EncodeSession) /
 //! [`DecodeSession`](crate::session::DecodeSession)).
 
@@ -104,15 +106,18 @@ pub const STREAM_VERSION_TILED: u8 = 2;
 pub const STREAM_VERSION_RESILIENT: u8 = 3;
 /// Serialized size of the stream header.
 pub const STREAM_HEADER_BYTES: usize = 23;
+/// Serialized size of the tile extension (frame width and height,
+/// overlap, blend) carried by tiled headers.
+const TILE_EXTENSION_BYTES: usize = 7;
 /// Serialized size of a tiled (version-2) stream header: the base
-/// header plus the 7-byte tile extension.
-pub const TILED_HEADER_BYTES: usize = STREAM_HEADER_BYTES + 7;
+/// header plus the tile extension.
+pub const TILED_HEADER_BYTES: usize = STREAM_HEADER_BYTES + TILE_EXTENSION_BYTES;
 /// Serialized size of an untiled resilient (version-3) header: the base
 /// header plus a flags byte and a CRC-8.
 pub const RESILIENT_HEADER_BYTES: usize = STREAM_HEADER_BYTES + 2;
 /// Serialized size of a tiled resilient header (flags bit 0 set): the
-/// untiled resilient header plus the 7-byte tile extension.
-pub const RESILIENT_TILED_HEADER_BYTES: usize = RESILIENT_HEADER_BYTES + 7;
+/// untiled resilient header plus the tile extension.
+pub const RESILIENT_TILED_HEADER_BYTES: usize = RESILIENT_HEADER_BYTES + TILE_EXTENSION_BYTES;
 /// Serialized overhead of each frame record before its payload.
 pub const FRAME_RECORD_BYTES: usize = 5;
 /// Serialized prefix of a resilient frame record (marker, sequence
@@ -188,27 +193,13 @@ fn blend_from_wire(byte: u8) -> Result<BlendMode, CoreError> {
     }
 }
 
-/// Serializes a stream header.
-fn header_bytes(h: &FrameHeader) -> [u8; STREAM_HEADER_BYTES] {
-    let mut out = [0u8; STREAM_HEADER_BYTES];
-    out[0..4].copy_from_slice(&STREAM_MAGIC);
-    out[4] = STREAM_VERSION;
-    out[5..7].copy_from_slice(&h.rows.to_le_bytes());
-    out[7..9].copy_from_slice(&h.cols.to_le_bytes());
-    out[9] = h.code_bits;
-    out[10] = h.sample_bits;
-    out[11..15].copy_from_slice(&h.strategy.to_wire());
-    out[15..23].copy_from_slice(&h.seed.to_le_bytes());
-    out
-}
-
 /// Incremental writer producing one contiguous wire stream.
 ///
 /// # Examples
 ///
 /// ```
 /// use tepics_core::frame::{CompressedFrame, FrameHeader};
-/// use tepics_core::stream::{StreamParser, StreamWriter};
+/// use tepics_core::stream::{StreamParser, StreamWriter, WireProfile};
 /// use tepics_core::StrategyKind;
 ///
 /// let header = FrameHeader {
@@ -219,7 +210,7 @@ fn header_bytes(h: &FrameHeader) -> [u8; STREAM_HEADER_BYTES] {
 ///     strategy: StrategyKind::rule30(32),
 ///     seed: 99,
 /// };
-/// let mut writer = StreamWriter::new(header).unwrap();
+/// let mut writer = StreamWriter::new(header, None, WireProfile::Compact).unwrap();
 /// writer.push_samples(&[1, 2, 3]).unwrap();
 /// writer.push_samples(&[4, 5]).unwrap();
 ///
@@ -239,141 +230,83 @@ pub struct StreamWriter {
 }
 
 impl StreamWriter {
-    /// Opens a version-1 stream for frames matching `header`, writing
-    /// the stream header immediately.
+    /// Opens a stream for frames matching `header`, writing the stream
+    /// header immediately. The container version follows from the
+    /// arguments: [`WireProfile::Compact`] writes version 1, or version
+    /// 2 when `layout` is given; [`WireProfile::Resilient`] writes
+    /// version 3, whose flags byte marks a tiled stream and whose
+    /// header ends in a CRC-8.
+    ///
+    /// For a tiled stream `header` describes one tile and must match
+    /// `layout`'s tile dimensions; each captured frame contributes
+    /// `layout.tiles()` records, in row-major tile order. Resilient
+    /// record sequence numbers map to tiles as
+    /// `seq = frame × layout.tiles() + tile`, so a receiver can
+    /// attribute every gap to specific tiles.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::MalformedFrame`] for degenerate headers
-    /// (zero dimensions, bit widths outside their ranges).
-    pub fn new(header: FrameHeader) -> Result<StreamWriter, CoreError> {
-        validate_header(&header)?;
-        Ok(StreamWriter {
-            header,
-            buf: header_bytes(&header).to_vec(),
-            frames: 0,
-            layout: None,
-            version: STREAM_VERSION,
-        })
-    }
-
-    /// Opens a resilient (version-3) untiled stream: every record is
-    /// CRC-8-guarded and sequence-numbered, and a [`SYNC_WORD`]
-    /// precedes every [`SYNC_INTERVAL`]-th record so a parser can
-    /// recover from corruption mid-stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns the header errors of [`StreamWriter::new`].
-    pub fn new_resilient(header: FrameHeader) -> Result<StreamWriter, CoreError> {
-        validate_header(&header)?;
-        let mut buf = header_bytes(&header).to_vec();
-        buf[4] = STREAM_VERSION_RESILIENT;
-        buf.push(0); // flags: untiled
-        buf.push(crc8(&buf));
-        Ok(StreamWriter {
-            header,
-            buf,
-            frames: 0,
-            layout: None,
-            version: STREAM_VERSION_RESILIENT,
-        })
-    }
-
-    /// Opens a resilient (version-3) **tiled** stream: the record
-    /// protection of [`StreamWriter::new_resilient`] plus the tile
-    /// extension of [`StreamWriter::new_tiled`]. Record sequence
-    /// numbers map to tiles as `seq = frame × layout.tiles() + tile`,
-    /// so a receiver can attribute every gap to specific tiles.
-    ///
-    /// # Errors
-    ///
-    /// Returns the errors of [`StreamWriter::new_tiled`].
-    pub fn new_resilient_tiled(
-        header: FrameHeader,
-        layout: &TileLayout,
-    ) -> Result<StreamWriter, CoreError> {
-        let mut writer = StreamWriter::new_tiled(header, layout)?;
-        writer.buf[4] = STREAM_VERSION_RESILIENT;
-        // Rebuild the tail as flags + ext + CRC: new_tiled laid out
-        // [base 23 | ext 7]; the resilient layout is
-        // [base 23 | flags 1 | ext 7 | crc 1].
-        let ext: [u8; 7] = writer.buf[STREAM_HEADER_BYTES..STREAM_HEADER_BYTES + 7]
-            .try_into()
-            .map_err(|_| CoreError::InvalidConfig("tile extension layout".into()))?;
-        writer.buf.truncate(STREAM_HEADER_BYTES);
-        writer.buf.push(RESILIENT_FLAG_TILED);
-        writer.buf.extend_from_slice(&ext);
-        writer.buf.push(crc8(&writer.buf));
-        writer.version = STREAM_VERSION_RESILIENT;
-        Ok(writer)
-    }
-
-    /// Opens a stream for `profile`: [`WireProfile::Compact`] maps to
-    /// [`StreamWriter::new`]/[`new_tiled`](StreamWriter::new_tiled)
-    /// (version 1 or 2 by tiling), [`WireProfile::Resilient`] to the
-    /// version-3 constructors.
-    ///
-    /// # Errors
-    ///
-    /// Returns the errors of the underlying constructor.
-    pub fn for_profile(
+    /// (zero dimensions, bit widths outside their ranges), or
+    /// [`CoreError::InvalidConfig`] if `header`'s geometry is not the
+    /// layout's tile geometry or the frame dimensions exceed the wire
+    /// format's `u16` fields.
+    pub fn new(
         header: FrameHeader,
         layout: Option<&TileLayout>,
         profile: WireProfile,
     ) -> Result<StreamWriter, CoreError> {
-        match (profile, layout) {
-            (WireProfile::Compact, None) => StreamWriter::new(header),
-            (WireProfile::Compact, Some(l)) => StreamWriter::new_tiled(header, l),
-            (WireProfile::Resilient, None) => StreamWriter::new_resilient(header),
-            (WireProfile::Resilient, Some(l)) => StreamWriter::new_resilient_tiled(header, l),
-        }
-    }
-
-    /// Opens a version-2 (tiled) stream: `header` describes one tile
-    /// and must match `layout`'s tile dimensions; the tile extension is
-    /// written immediately after the base header. Each captured frame
-    /// contributes `layout.tiles()` records, in row-major tile order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the header errors of [`StreamWriter::new`], or
-    /// [`CoreError::InvalidConfig`] if `header`'s geometry is not the
-    /// layout's tile geometry or the frame dimensions exceed the wire
-    /// format's `u16` fields.
-    pub fn new_tiled(header: FrameHeader, layout: &TileLayout) -> Result<StreamWriter, CoreError> {
         validate_header(&header)?;
-        if header.rows as usize != layout.tile_height()
-            || header.cols as usize != layout.tile_width()
-        {
-            return Err(CoreError::InvalidConfig(format!(
-                "stream header {}×{} does not match tile {}×{}",
-                header.rows,
-                header.cols,
-                layout.tile_height(),
-                layout.tile_width()
-            )));
+        let resilient = profile == WireProfile::Resilient;
+        let version = match (resilient, layout) {
+            (true, _) => STREAM_VERSION_RESILIENT,
+            (false, Some(_)) => STREAM_VERSION_TILED,
+            (false, None) => STREAM_VERSION,
+        };
+        let mut buf = STREAM_MAGIC.to_vec();
+        buf.push(version);
+        buf.extend_from_slice(&header.rows.to_le_bytes());
+        buf.extend_from_slice(&header.cols.to_le_bytes());
+        buf.extend_from_slice(&[header.code_bits, header.sample_bits]);
+        buf.extend_from_slice(&header.strategy.to_wire());
+        buf.extend_from_slice(&header.seed.to_le_bytes());
+        if resilient {
+            buf.push(layout.map_or(0, |_| RESILIENT_FLAG_TILED));
         }
-        let frame = layout.frame();
-        if frame.width() > u16::MAX as usize || frame.height() > u16::MAX as usize {
-            return Err(CoreError::InvalidConfig(format!(
-                "frame {}×{} exceeds the wire format's 65535-pixel axis limit",
-                frame.width(),
-                frame.height()
-            )));
+        if let Some(layout) = layout {
+            if header.rows as usize != layout.tile_height()
+                || header.cols as usize != layout.tile_width()
+            {
+                return Err(CoreError::InvalidConfig(format!(
+                    "stream header {}×{} does not match tile {}×{}",
+                    header.rows,
+                    header.cols,
+                    layout.tile_height(),
+                    layout.tile_width()
+                )));
+            }
+            let frame = layout.frame();
+            if frame.width() > u16::MAX as usize || frame.height() > u16::MAX as usize {
+                return Err(CoreError::InvalidConfig(format!(
+                    "frame {}×{} exceeds the wire format's 65535-pixel axis limit",
+                    frame.width(),
+                    frame.height()
+                )));
+            }
+            buf.extend_from_slice(&(frame.width() as u16).to_le_bytes());
+            buf.extend_from_slice(&(frame.height() as u16).to_le_bytes());
+            buf.extend_from_slice(&(layout.overlap() as u16).to_le_bytes());
+            buf.push(blend_to_wire(layout.blend()));
         }
-        let mut buf = header_bytes(&header).to_vec();
-        buf[4] = STREAM_VERSION_TILED;
-        buf.extend_from_slice(&(frame.width() as u16).to_le_bytes());
-        buf.extend_from_slice(&(frame.height() as u16).to_le_bytes());
-        buf.extend_from_slice(&(layout.overlap() as u16).to_le_bytes());
-        buf.push(blend_to_wire(layout.blend()));
+        if resilient {
+            buf.push(crc8(&buf));
+        }
         Ok(StreamWriter {
             header,
             buf,
             frames: 0,
-            layout: Some(layout.clone()),
-            version: STREAM_VERSION_TILED,
+            layout: layout.cloned(),
+            version,
         })
     }
 
@@ -387,8 +320,8 @@ impl StreamWriter {
         self.version
     }
 
-    /// The tile layout of a tiled (version-2) stream, `None` for
-    /// version 1.
+    /// The tile layout of a tiled stream (version 2, or version 3 with
+    /// the tiled flag), `None` for an untiled one.
     pub fn tile_layout(&self) -> Option<&TileLayout> {
         self.layout.as_ref()
     }
@@ -440,6 +373,11 @@ impl StreamWriter {
                 "sample {bad} does not fit in {bits} bits"
             )));
         }
+        let mut packer = BitWriter::new();
+        for &s in samples {
+            packer.write(s, bits);
+        }
+        let payload = packer.finish();
         if self.version == STREAM_VERSION_RESILIENT {
             let seq = self.frames as u32; // wraps with the stream's 2³²-record horizon
             if (seq as usize).is_multiple_of(SYNC_INTERVAL) {
@@ -452,22 +390,13 @@ impl StreamWriter {
                 .extend_from_slice(&(samples.len() as u32).to_le_bytes());
             let prefix_crc = crc8(&self.buf[prefix_start..]);
             self.buf.push(prefix_crc);
-            let mut writer = BitWriter::new();
-            for &s in samples {
-                writer.write(s, bits);
-            }
-            let payload = writer.finish();
             self.buf.extend_from_slice(&payload);
             self.buf.push(crc8(&payload));
         } else {
             self.buf.push(FRAME_MARKER);
             self.buf
                 .extend_from_slice(&(samples.len() as u32).to_le_bytes());
-            let mut writer = BitWriter::new();
-            for &s in samples {
-                writer.write(s, bits);
-            }
-            self.buf.extend_from_slice(&writer.finish());
+            self.buf.extend_from_slice(&payload);
         }
         self.frames += 1;
         Ok(())
@@ -694,9 +623,9 @@ impl StreamParser {
             return Err(CoreError::MalformedFrame("bad stream magic".into()));
         }
         let version = self.buf[self.pos + 4];
-        let header_len = match version {
-            STREAM_VERSION => STREAM_HEADER_BYTES,
-            STREAM_VERSION_TILED => TILED_HEADER_BYTES,
+        let (tiled, resilient) = match version {
+            STREAM_VERSION => (false, false),
+            STREAM_VERSION_TILED => (true, false),
             STREAM_VERSION_RESILIENT => {
                 // Need the flags byte to know the header length.
                 if self.buffered_bytes() < STREAM_HEADER_BYTES + 1 {
@@ -708,11 +637,7 @@ impl StreamParser {
                         "unknown resilient header flags {flags:#04x}"
                     )));
                 }
-                if flags & RESILIENT_FLAG_TILED != 0 {
-                    RESILIENT_TILED_HEADER_BYTES
-                } else {
-                    RESILIENT_HEADER_BYTES
-                }
+                (flags & RESILIENT_FLAG_TILED != 0, true)
             }
             other => {
                 return Err(CoreError::MalformedFrame(format!(
@@ -720,11 +645,16 @@ impl StreamParser {
                 )));
             }
         };
+        // The writer's layout: base header, flags byte (v3), tile
+        // extension (tiled), CRC-8 (v3).
+        let ext_at = STREAM_HEADER_BYTES + usize::from(resilient);
+        let ext_len = if tiled { TILE_EXTENSION_BYTES } else { 0 };
+        let header_len = ext_at + ext_len + usize::from(resilient);
         if self.buffered_bytes() < header_len {
             return Ok(false);
         }
         let b = &self.buf[self.pos..self.pos + header_len];
-        if version == STREAM_VERSION_RESILIENT && crc8(&b[..header_len - 1]) != b[header_len - 1] {
+        if resilient && crc8(&b[..header_len - 1]) != b[header_len - 1] {
             return Err(CoreError::MalformedFrame(
                 "resilient stream header fails its CRC".into(),
             ));
@@ -738,17 +668,8 @@ impl StreamParser {
             seed: u64::from_le_bytes([b[15], b[16], b[17], b[18], b[19], b[20], b[21], b[22]]),
         };
         validate_header(&header)?;
-        // The tile extension sits right after the base header (v2) or
-        // after the flags byte (v3 tiled).
-        let ext_at = match version {
-            STREAM_VERSION_TILED => Some(STREAM_HEADER_BYTES),
-            STREAM_VERSION_RESILIENT if header_len == RESILIENT_TILED_HEADER_BYTES => {
-                Some(STREAM_HEADER_BYTES + 1)
-            }
-            _ => None,
-        };
-        if let Some(at) = ext_at {
-            let e = &b[at..at + 7];
+        if tiled {
+            let e = &b[ext_at..ext_at + TILE_EXTENSION_BYTES];
             let frame_w = u16::from_le_bytes([e[0], e[1]]) as usize;
             let frame_h = u16::from_le_bytes([e[2], e[3]]) as usize;
             let overlap = u16::from_le_bytes([e[4], e[5]]) as usize;
@@ -1023,7 +944,7 @@ mod tests {
     #[test]
     fn stream_roundtrips_all_frames() {
         let frames = frames(5, 90);
-        let mut writer = StreamWriter::new(header()).unwrap();
+        let mut writer = StreamWriter::new(header(), None, WireProfile::Compact).unwrap();
         for f in &frames {
             writer.push_frame(f).unwrap();
         }
@@ -1044,7 +965,7 @@ mod tests {
     #[test]
     fn parser_handles_arbitrary_chunking() {
         let frames = frames(3, 40);
-        let mut writer = StreamWriter::new(header()).unwrap();
+        let mut writer = StreamWriter::new(header(), None, WireProfile::Compact).unwrap();
         for f in &frames {
             writer.push_frame(f).unwrap();
         }
@@ -1065,7 +986,7 @@ mod tests {
     #[test]
     fn stream_overhead_beats_repeated_frame_headers() {
         let frames = frames(4, 64);
-        let mut writer = StreamWriter::new(header()).unwrap();
+        let mut writer = StreamWriter::new(header(), None, WireProfile::Compact).unwrap();
         let mut frame_codec_bits = 0usize;
         for f in &frames {
             writer.push_frame(f).unwrap();
@@ -1087,7 +1008,7 @@ mod tests {
 
     #[test]
     fn frames_may_vary_in_sample_count() {
-        let mut writer = StreamWriter::new(header()).unwrap();
+        let mut writer = StreamWriter::new(header(), None, WireProfile::Compact).unwrap();
         writer.push_samples(&[1, 2, 3, 4, 5]).unwrap();
         writer.push_samples(&[6]).unwrap();
         let mut parser = StreamParser::new();
@@ -1098,7 +1019,7 @@ mod tests {
 
     #[test]
     fn writer_rejects_foreign_and_degenerate_frames() {
-        let mut writer = StreamWriter::new(header()).unwrap();
+        let mut writer = StreamWriter::new(header(), None, WireProfile::Compact).unwrap();
         let mut foreign = frames(1, 10).remove(0);
         foreign.header.seed ^= 1;
         assert!(matches!(
@@ -1113,7 +1034,7 @@ mod tests {
 
     #[test]
     fn corrupt_streams_fail_sticky_and_clean() {
-        let mut writer = StreamWriter::new(header()).unwrap();
+        let mut writer = StreamWriter::new(header(), None, WireProfile::Compact).unwrap();
         writer.push_samples(&[7, 8, 9]).unwrap();
         let good = writer.into_bytes();
 
@@ -1161,7 +1082,8 @@ mod tests {
     #[test]
     fn tiled_stream_roundtrips_layout_and_records() {
         let layout = tiled_layout();
-        let mut writer = StreamWriter::new_tiled(tiled_header(), &layout).unwrap();
+        let mut writer =
+            StreamWriter::new(tiled_header(), Some(&layout), WireProfile::Compact).unwrap();
         assert_eq!(writer.tile_layout(), Some(&layout));
         for t in 0..layout.tiles() {
             writer.push_samples(&[t as u32 + 1, 2, 3]).unwrap();
@@ -1184,7 +1106,7 @@ mod tests {
 
     #[test]
     fn version_one_streams_still_parse_without_a_layout() {
-        let mut writer = StreamWriter::new(header()).unwrap();
+        let mut writer = StreamWriter::new(header(), None, WireProfile::Compact).unwrap();
         writer.push_samples(&[1, 2, 3]).unwrap();
         let bytes = writer.into_bytes();
         assert_eq!(bytes[4], STREAM_VERSION); // explicit wire check
@@ -1199,7 +1121,7 @@ mod tests {
         let mut h = tiled_header();
         h.rows = 8; // layout tiles are 16×16
         assert!(matches!(
-            StreamWriter::new_tiled(h, &tiled_layout()),
+            StreamWriter::new(h, Some(&tiled_layout()), WireProfile::Compact),
             Err(CoreError::InvalidConfig(_))
         ));
     }
@@ -1207,7 +1129,8 @@ mod tests {
     #[test]
     fn hostile_tile_extensions_are_malformed_not_panics() {
         let layout = tiled_layout();
-        let writer = StreamWriter::new_tiled(tiled_header(), &layout).unwrap();
+        let writer =
+            StreamWriter::new(tiled_header(), Some(&layout), WireProfile::Compact).unwrap();
         let good = writer.into_bytes();
         let corrupt = |mutate: &dyn Fn(&mut Vec<u8>)| {
             let mut bad = good.clone();
@@ -1240,7 +1163,8 @@ mod tests {
     #[test]
     fn truncated_tiled_header_waits_for_the_extension() {
         let layout = tiled_layout();
-        let mut writer = StreamWriter::new_tiled(tiled_header(), &layout).unwrap();
+        let mut writer =
+            StreamWriter::new(tiled_header(), Some(&layout), WireProfile::Compact).unwrap();
         writer.push_samples(&[1]).unwrap();
         let bytes = writer.into_bytes();
         let mut parser = StreamParser::new();
@@ -1255,7 +1179,7 @@ mod tests {
 
     #[test]
     fn truncated_stream_waits_instead_of_failing() {
-        let mut writer = StreamWriter::new(header()).unwrap();
+        let mut writer = StreamWriter::new(header(), None, WireProfile::Compact).unwrap();
         writer.push_samples(&[1, 2, 3]).unwrap();
         let bytes = writer.into_bytes();
         let mut parser = StreamParser::new();
@@ -1269,7 +1193,7 @@ mod tests {
 
     fn resilient_bytes(n: usize, k: usize) -> (Vec<CompressedFrame>, Vec<u8>) {
         let frames = frames(n, k);
-        let mut writer = StreamWriter::new_resilient(header()).unwrap();
+        let mut writer = StreamWriter::new(header(), None, WireProfile::Resilient).unwrap();
         for f in &frames {
             writer.push_frame(f).unwrap();
         }
@@ -1306,8 +1230,8 @@ mod tests {
     #[test]
     fn resilient_clean_stream_decodes_identical_to_compact() {
         let frames = frames(10, 44);
-        let mut compact = StreamWriter::new(header()).unwrap();
-        let mut resilient = StreamWriter::new_resilient(header()).unwrap();
+        let mut compact = StreamWriter::new(header(), None, WireProfile::Compact).unwrap();
+        let mut resilient = StreamWriter::new(header(), None, WireProfile::Resilient).unwrap();
         for f in &frames {
             compact.push_frame(f).unwrap();
             resilient.push_frame(f).unwrap();
@@ -1327,7 +1251,8 @@ mod tests {
     #[test]
     fn resilient_tiled_roundtrips_layout() {
         let layout = tiled_layout();
-        let mut writer = StreamWriter::new_resilient_tiled(tiled_header(), &layout).unwrap();
+        let mut writer =
+            StreamWriter::new(tiled_header(), Some(&layout), WireProfile::Resilient).unwrap();
         for t in 0..layout.tiles() {
             writer.push_samples(&[t as u32 + 1, 9]).unwrap();
         }
@@ -1480,30 +1405,26 @@ mod tests {
             seed: 0x0102_0304_0506_0708,
         };
         let layout = tiled_layout();
-        let cases: [(&str, Option<&TileLayout>, WireProfile, u8, Vec<u8>); 4] = [
-            ("v1", None, WireProfile::Compact, 1, vec![]),
-            (
-                "v2",
-                Some(&layout),
-                WireProfile::Compact,
-                2,
-                TILE_EXT.to_vec(),
-            ),
-            ("v3 untiled", None, WireProfile::Resilient, 3, vec![0, 0xB6]),
+        // Header bytes after the base: flags (v3), tile extension, CRC (v3).
+        let v3_tiled = [&[1][..], &TILE_EXT, &[0x64]].concat();
+        let cases: [(_, _, _, _, &[u8]); 4] = [
+            ("v1", None, WireProfile::Compact, 1, &[]),
+            ("v2", Some(&layout), WireProfile::Compact, 2, &TILE_EXT),
+            ("v3 untiled", None, WireProfile::Resilient, 3, &[0, 0xB6]),
             (
                 "v3 tiled",
                 Some(&layout),
                 WireProfile::Resilient,
                 3,
-                [&[1][..], &TILE_EXT, &[0x64]].concat(),
+                &v3_tiled,
             ),
         ];
         for (name, layout, profile, version, tail) in cases {
-            let mut writer = StreamWriter::for_profile(header, layout, profile).unwrap();
+            let mut writer = StreamWriter::new(header, layout, profile).unwrap();
             writer.push_samples(&[1, 2, 3]).unwrap();
             let mut expected = BASE.to_vec();
             expected[4] = version;
-            expected.extend_from_slice(&tail);
+            expected.extend_from_slice(tail);
             let header_len = expected.len();
             let record: &[u8] = if version == 3 {
                 &RESILIENT_RECORD

@@ -105,7 +105,6 @@ impl ColumnArbiter {
     pub fn arbitrate(&self, pulses: &[(usize, f64)]) -> ColumnOutcome {
         let mut seen = std::collections::BTreeSet::new();
         let mut flips: EventQueue<usize> = EventQueue::new();
-        let mut flip_time: BTreeMap<usize, f64> = BTreeMap::new();
         for &(row, t) in pulses {
             assert!(
                 t >= 0.0 && !t.is_nan(),
@@ -115,7 +114,6 @@ impl ColumnArbiter {
             // Priority = row: simultaneous flips resolve top-down, as the
             // token chain does.
             flips.push(t, row as u32, row);
-            flip_time.insert(row, t);
         }
         let mut events = Vec::with_capacity(pulses.len());
         let mut waiting: BTreeMap<usize, f64> = BTreeMap::new();

@@ -22,7 +22,9 @@
 //! Nesting is safe by construction: a `map` issued *from a pool worker*
 //! runs inline on that worker (no new tickets, no oversubscription, no
 //! deadlock — workers never block on the pool; only root callers wait,
-//! and they work down their own task set while waiting).
+//! and they work down their own task set while waiting). The outer task
+//! already holds the worker's sticky scratch, so the nested map runs on
+//! a fresh, throwaway one.
 //!
 //! # Examples
 //!
@@ -65,12 +67,10 @@ thread_local! {
     static SCRATCH_BUSY: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Whether the current thread is a pool worker. Callers that hold warm
-/// per-call state of their own (e.g. a decode session's workspace) can
-/// use this to prefer their serial path over a nested — inline anyway —
-/// pool map.
-#[must_use]
-pub fn is_worker_thread() -> bool {
+/// Whether the current thread is a pool worker. [`WorkerPool::map`] and
+/// [`WorkerPool::broadcast`] issued from one run inline, which is what
+/// makes nested use safe.
+fn is_worker_thread() -> bool {
     IS_WORKER.with(Cell::get)
 }
 

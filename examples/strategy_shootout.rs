@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .seed(0x57A7)
             .strategy(strategy)
             .build()?;
-        let report = evaluate_with_cache(&cache, &imager, |_| {}, &scene)?;
+        let report = evaluate_with_cache(&cache, &imager, RecoveryParams::default(), &scene)?;
         println!(
             " {name:<24} |   {:6.1}  | {:.3} | {:4}",
             report.psnr_code_db, report.ssim_code, report.iterations

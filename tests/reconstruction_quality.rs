@@ -35,7 +35,7 @@ fn psnr_floors_per_scene_at_r_040() {
     ];
     for (name, scene) in Scene::evaluation_suite() {
         let img = scene.render(32, 32, 314);
-        let report = evaluate(&im, |_| {}, &img).unwrap();
+        let report = evaluate(&im, &img).unwrap();
         let floor = floors
             .iter()
             .find(|(n, _)| *n == name)

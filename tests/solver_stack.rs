@@ -104,15 +104,15 @@ fn batch_runs_identical_across_thread_counts_for_all_solvers() {
         .collect();
     let k = im.capture(&scenes[0]).samples.len();
     for kind in SolverKind::shootout_set(k) {
+        let params = RecoveryParams {
+            solver: kind,
+            ..RecoveryParams::default()
+        };
         let serial = BatchRunner::with_threads(1)
-            .run_with(&im, &scenes, move |d| {
-                d.algorithm(kind);
-            })
+            .run_with(&im, &scenes, params)
             .unwrap();
         let parallel = BatchRunner::with_threads(4)
-            .run_with(&im, &scenes, move |d| {
-                d.algorithm(kind);
-            })
+            .run_with(&im, &scenes, params)
             .unwrap();
         assert_eq!(
             serial.reports, parallel.reports,

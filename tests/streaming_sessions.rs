@@ -226,3 +226,46 @@ fn delta_session_frame_and_byte_entry_points_agree() {
         assert_eq!(d.reconstruction.code_image(), codes);
     }
 }
+
+/// Reconfiguring a session mid-stream takes effect from the next frame:
+/// the setter drops the primed decoder, the next frame re-primes it
+/// from the operator cache, and that frame decodes bit-identically to a
+/// fresh session configured the new way from the start — on untiled
+/// and tiled streams alike.
+#[test]
+fn mid_stream_reconfiguration_matches_a_fresh_session() {
+    let tiled = CompressiveImager::builder_for(FrameGeometry::new(40, 28))
+        .tiling(TileConfig::new(16).overlap(4))
+        .ratio(0.35)
+        .seed(0x7E1)
+        .fidelity(Fidelity::Functional)
+        .build()
+        .unwrap();
+    for im in [imager(16, 0x7E1), tiled] {
+        let (w, h) = (im.geometry().width(), im.geometry().height());
+        let mut enc = EncodeSession::new(im).unwrap();
+        let mut third_start = 0;
+        for i in 0..3 {
+            third_start = enc.wire_bits() / 8;
+            enc.capture(&Scene::gaussian_blobs(3).render(w, h, i))
+                .unwrap();
+        }
+        let bytes = enc.into_bytes();
+
+        let mut session = DecodeSession::new();
+        assert_eq!(session.push_bytes(&bytes[..third_start]).unwrap().len(), 2);
+        session.params(RecoveryParams::low_latency());
+        let third = session.push_bytes(&bytes[third_start..]).unwrap();
+
+        let mut fresh = DecodeSession::new();
+        fresh.params(RecoveryParams::low_latency());
+        let reference = fresh.push_bytes(&bytes).unwrap();
+        assert_eq!(third, reference[2..], "{w}×{h}");
+        let unchanged = DecodeSession::new().push_bytes(&bytes).unwrap();
+        assert_ne!(
+            third[0].reconstruction, unchanged[2].reconstruction,
+            "{w}×{h}: the new parameters must take effect"
+        );
+        assert_eq!(session.cache().stats().misses, 1, "{w}×{h}: Φ built once");
+    }
+}
