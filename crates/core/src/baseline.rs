@@ -299,6 +299,53 @@ mod tests {
         ));
     }
 
+    /// FNV-1a over the little-endian sample words.
+    fn sample_digest(samples: &[u32]) -> u64 {
+        samples
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn golden_capture_and_reconstruction() {
+        // (width, height, block, ratio, seed, sample digest, PSNR bits):
+        // pins the exact samples and reconstruction of the baseline.
+        let cases = [
+            (
+                32,
+                32,
+                8,
+                0.4,
+                7,
+                0xaf77_7d0c_b319_0eab,
+                0x4038_af90_8410_fa56,
+            ),
+            (
+                64,
+                48,
+                16,
+                0.3,
+                3,
+                0xdcad_6533_5bc9_0ed5,
+                0x403a_bf8f_380d_b476,
+            ),
+        ];
+        for (w, h, block, ratio, seed, digest, psnr_bits) in cases {
+            let codes = Scene::natural_like()
+                .render(w, h, 21)
+                .map(|v| (v * 255.0).round());
+            let bcs = BlockCs::new(w, h, block, ratio, seed).unwrap();
+            let frame = bcs.capture(&codes);
+            let recon = bcs.reconstruct(&frame).unwrap();
+            let db = psnr(&codes, &recon, 255.0);
+            assert_eq!(sample_digest(&frame.samples), digest, "{w}×{h} samples");
+            assert_eq!(db.to_bits(), psnr_bits, "{w}×{h} PSNR {db} dB");
+        }
+    }
+
     #[test]
     fn invalid_configurations_are_rejected() {
         assert!(BlockCs::new(32, 32, 4, 0.3, 1).is_err()); // block too small

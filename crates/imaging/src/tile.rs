@@ -641,6 +641,30 @@ mod tests {
         for (a, b) in img.as_slice().iter().zip(back.as_slice()) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
+        // Divisible dims: every pixel has exactly one tile at weight 1,
+        // so the round trip is bit-exact.
+        let img = Scene::natural_like().render(32, 24, 9);
+        for tile in [4, 8] {
+            let layout =
+                TileLayout::new(FrameGeometry::new(32, 24), &TileConfig::new(tile)).unwrap();
+            let tiles = split_tiles(&img, &layout);
+            assert_eq!(tiles.len(), (32 / tile) * (24 / tile));
+            assert_eq!(merge_tiles(&tiles, &layout), img, "tile {tile}");
+        }
+    }
+
+    #[test]
+    fn tiles_are_row_major_within_and_across() {
+        // 4×4 image of values 0..16, 2×2 tiles.
+        let img = ImageF64::from_vec(4, 4, (0..16).map(f64::from).collect());
+        let layout = TileLayout::new(FrameGeometry::new(4, 4), &TileConfig::new(2)).unwrap();
+        let tiles = split_tiles(&img, &layout);
+        assert_eq!(tiles[0], vec![0.0, 1.0, 4.0, 5.0]); // top-left
+        assert_eq!(tiles[1], vec![2.0, 3.0, 6.0, 7.0]); // top-right
+        assert_eq!(tiles[2], vec![8.0, 9.0, 12.0, 13.0]); // bottom-left
+                                                          // A whole-frame tile is the image itself.
+        let whole = TileLayout::new(FrameGeometry::new(4, 4), &TileConfig::new(4)).unwrap();
+        assert_eq!(split_tiles(&img, &whole), vec![img.as_slice().to_vec()]);
     }
 
     #[test]
@@ -698,6 +722,13 @@ mod tests {
     fn merge_rejects_wrong_tile_count() {
         let layout = TileLayout::new(FrameGeometry::new(32, 32), &TileConfig::new(16)).unwrap();
         let _ = merge_tiles(&[vec![0.0; 256]], &layout);
+    }
+
+    #[test]
+    #[should_panic(expected = "tile size mismatch")]
+    fn merge_rejects_wrong_tile_size() {
+        let layout = TileLayout::new(FrameGeometry::new(32, 16), &TileConfig::new(16)).unwrap();
+        let _ = merge_tiles(&[vec![0.0; 256], vec![0.0; 255]], &layout);
     }
 
     #[test]
