@@ -47,7 +47,7 @@ pub fn run() -> String {
             e.t_flip * 1e6,
             e.t_grant * 1e6,
             if e.queued { "yes" } else { "no" },
-            fmt(counter.ideal_code(e.t_flip)),
+            fmt(counter.convert(e.t_flip)),
             fmt(counter.convert(e.t_grant)),
         ));
     }

@@ -16,8 +16,8 @@ use tepics_cs::dictionary::{Dct2dDictionary, Dictionary, ZeroMeanDictionary};
 use tepics_cs::measurement::{DenseBinaryMeasurement, SelectionMeasurement};
 use tepics_cs::op;
 use tepics_cs::ComposedOperator;
-use tepics_imaging::block::{merge_blocks, split_blocks};
-use tepics_imaging::{ImageF64, ImageU8};
+use tepics_imaging::tile::{merge_tiles_sparse, split_tiles, TileLayout};
+use tepics_imaging::{FrameGeometry, ImageF64, ImageU8, TileConfig};
 use tepics_recovery::{debias::debias, Fista};
 
 /// A captured block-based frame.
@@ -73,6 +73,9 @@ pub struct BlockCs {
     block: usize,
     ratio: f64,
     seed: u64,
+    /// The `block × block` decomposition without overlap: row-major
+    /// blocks, row-major pixels within each block.
+    layout: TileLayout,
 }
 
 impl BlockCs {
@@ -111,12 +114,15 @@ impl BlockCs {
                 "ratio {ratio} outside (0,1]"
             )));
         }
+        let layout = TileLayout::new(FrameGeometry::new(width, height), &TileConfig::new(block))
+            .map_err(|e| CoreError::InvalidConfig(e.to_string()))?;
         Ok(BlockCs {
             width,
             height,
             block,
             ratio,
             seed,
+            layout,
         })
     }
 
@@ -149,7 +155,7 @@ impl BlockCs {
             (self.width, self.height),
             "code image size mismatch"
         );
-        let tiles = split_blocks(codes, self.block);
+        let tiles = split_tiles(codes, &self.layout);
         let mut samples = Vec::with_capacity(tiles.len() * self.k_per_block());
         let mut y = vec![0.0; self.k_per_block()];
         for (b, tile) in tiles.iter().enumerate() {
@@ -193,7 +199,7 @@ impl BlockCs {
                 "block frame does not match pipeline configuration".into(),
             ));
         }
-        let n_blocks = (self.width / self.block) * (self.height / self.block);
+        let n_blocks = self.layout.tiles();
         if frame.samples.len() != n_blocks * frame.k_per_block {
             return Err(CoreError::MalformedFrame(format!(
                 "expected {} samples, got {}",
@@ -231,14 +237,14 @@ impl BlockCs {
                 .solve(&a, &resid)?;
             let rec = debias(&a, &resid, &rec, frame.k_per_block / 2)?;
             dict.synthesize_with(&rec.coefficients, &mut pixels, &mut dict_scratch);
-            tiles.push(
+            tiles.push(Some(
                 pixels
                     .iter()
                     .map(|&vi| (mu + vi).clamp(0.0, 255.0))
                     .collect(),
-            );
+            ));
         }
-        Ok(merge_blocks(&tiles, self.width, self.height, self.block))
+        Ok(merge_tiles_sparse(&tiles, &self.layout).0)
     }
 }
 

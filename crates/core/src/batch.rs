@@ -44,7 +44,7 @@ use crate::cache::OperatorCache;
 use crate::error::CoreError;
 use crate::imager::CompressiveImager;
 use crate::pipeline::{evaluate_with_cache, PipelineReport};
-use crate::session::{DecodeReport, DecodeSession, DecodedFrame, ErasurePolicy};
+use crate::session::{DecodeReport, DecodeSession, DecodedFrame};
 use crate::solver::RecoveryParams;
 use tepics_imaging::ImageF64;
 use tepics_util::parallel::default_threads;
@@ -159,18 +159,9 @@ impl BatchRunner {
     /// [`StreamOutcome`] instead of aborting the batch, and the
     /// returned [`StreamBatchOutcome`] counts failed and degraded
     /// streams. Resilient (version-3) streams degrade through the
-    /// given erasure policy rather than failing.
+    /// default [`ErasurePolicy`](crate::session::ErasurePolicy) rather
+    /// than failing.
     pub fn decode_streams(&self, streams: &[impl AsRef<[u8]> + Sync]) -> StreamBatchOutcome {
-        self.decode_streams_with(streams, ErasurePolicy::default())
-    }
-
-    /// Like [`BatchRunner::decode_streams`] with an explicit
-    /// [`ErasurePolicy`] for resilient tiled streams.
-    pub fn decode_streams_with(
-        &self,
-        streams: &[impl AsRef<[u8]> + Sync],
-        policy: ErasurePolicy,
-    ) -> StreamBatchOutcome {
         // The pool's owned-item API wants 'static jobs, so each stream's
         // bytes are copied once up front — noise next to the decode.
         let owned: Vec<Vec<u8>> = streams.iter().map(|s| s.as_ref().to_vec()).collect();
@@ -178,7 +169,7 @@ impl BatchRunner {
         let threads = self.threads;
         let outcomes = WorkerPool::global().map(threads, owned, move |_, bytes, _| {
             let mut session = DecodeSession::with_cache(cache.clone());
-            session.erasure_policy(policy).threads(threads);
+            session.threads(threads);
             let mut frames = Vec::new();
             let mut error = None;
             match session.push_bytes(bytes.as_ref()) {

@@ -183,16 +183,10 @@ impl Reconstruction {
             CodeTransfer::Reciprocal => self.codes.map(|c| {
                 let t_arrival = config.initial_delay() + (c + 0.5) * config.t_clk();
                 let t_cross = (t_arrival - config.comparator_delay()).max(1e-12);
-                crate::decoder::intensity_from_crossing(config, t_cross)
+                tepics_sensor::photodiode::intensity_from_crossing(config, t_cross)
             }),
         }
     }
-}
-
-/// Re-export of the photodiode inversion used by
-/// [`Reconstruction::to_intensity`].
-fn intensity_from_crossing(config: &SensorConfig, t: f64) -> f64 {
-    tepics_sensor::photodiode::intensity_from_crossing(config, t)
 }
 
 /// Receiver-side decoder bound to a frame's geometry and strategy.

@@ -14,7 +14,7 @@ use crate::imager::CompressiveImager;
 use crate::params;
 use crate::session::{DecodeSession, EncodeSession};
 use crate::solver::RecoveryParams;
-use tepics_imaging::{psnr, ssim, ImageF64, Scene};
+use tepics_imaging::{psnr, ssim, ImageF64};
 use tepics_sensor::EventStats;
 
 /// Quality and cost summary of one capture/reconstruct cycle.
@@ -121,30 +121,6 @@ pub fn evaluate_with_cache(
     })
 }
 
-/// Runs [`evaluate`] over the standard scene suite, returning
-/// `(scene_name, report)` pairs. Used by the `ffvb` experiment and the
-/// integration tests.
-///
-/// # Errors
-///
-/// Propagates the first pipeline error encountered.
-pub fn evaluate_suite(
-    imager: &CompressiveImager,
-    size: usize,
-    scene_seed: u64,
-) -> Result<Vec<(&'static str, PipelineReport)>, CoreError> {
-    // One cache for the whole suite: every scene shares the imager's
-    // seed and sample count, so Φ is built exactly once.
-    let cache = OperatorCache::shared();
-    let mut out = Vec::new();
-    for (name, scene) in Scene::evaluation_suite() {
-        let img = scene.render(size, size, scene_seed);
-        let report = evaluate_with_cache(&cache, imager, RecoveryParams::default(), &img)?;
-        out.push((name, report));
-    }
-    Ok(out)
-}
-
 /// Progressive reconstruction: quality as the first `k` samples arrive.
 ///
 /// Compressed samples are generated (and transmitted) sequentially, one
@@ -201,6 +177,7 @@ pub fn progressive_psnr(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tepics_imaging::Scene;
     use tepics_sensor::Fidelity;
 
     fn imager() -> CompressiveImager {
@@ -276,18 +253,5 @@ mod tests {
             progressive_psnr(&im, &scene, &[10, 20]),
             Err(CoreError::InvalidConfig(_))
         ));
-    }
-
-    #[test]
-    fn suite_covers_all_scenes() {
-        let im = imager();
-        let results = evaluate_suite(&im, 16, 3).unwrap();
-        assert_eq!(results.len(), Scene::evaluation_suite().len());
-        for (name, report) in &results {
-            assert!(
-                report.psnr_code_db.is_finite(),
-                "{name} produced non-finite PSNR"
-            );
-        }
     }
 }

@@ -13,8 +13,8 @@
 //! * [`measurement`] — the measurement ensembles: the paper's
 //!   XOR-structured CA strategy ([`XorMeasurement`]), dense binary
 //!   ensembles (Bernoulli / thresholded Gaussian / LFSR / Hadamard via
-//!   any [`tepics_ca::BitPatternSource`]), and the block-diagonal
-//!   ensemble of block-based CS.
+//!   any [`tepics_ca::BitPatternSource`]), which also serve as the
+//!   per-block ensembles of block-based CS.
 //! * [`dictionary`] — sparsifying dictionaries Ψ (2-D DCT, Haar,
 //!   identity) plus the zero-mean wrapper used by the mean-split
 //!   decoder.
@@ -61,6 +61,6 @@ pub use colview::ColumnMatrix;
 pub use dictionary::{Dct2dDictionary, Dictionary, Haar2dDictionary, IdentityDictionary};
 pub use fused::{FusedScratch, RowStagedDictionary, RowStreamedOperator, StagedDictionary};
 pub use mat::DenseMatrix;
-pub use measurement::{BlockDiagonalMeasurement, DenseBinaryMeasurement, XorMeasurement};
+pub use measurement::{DenseBinaryMeasurement, XorMeasurement};
 pub use op::LinearOperator;
 pub use operator::{ComposedOperator, ComposedScratch, SignedMeasurementOp};

@@ -169,30 +169,6 @@ impl DenseMatrix {
         }
         g
     }
-
-    /// Euclidean norm of column `j`.
-    pub fn column_norm(&self, j: usize) -> f64 {
-        assert!(j < self.cols, "column out of range");
-        (0..self.rows)
-            .map(|r| {
-                let v = self.data[r * self.cols + j];
-                v * v
-            })
-            .sum::<f64>()
-            .sqrt()
-    }
-
-    /// Scales every column to unit norm (zero columns are left as-is).
-    pub fn normalize_columns(&mut self) {
-        for j in 0..self.cols {
-            let n = self.column_norm(j);
-            if n > 0.0 {
-                for r in 0..self.rows {
-                    self.data[r * self.cols + j] /= n;
-                }
-            }
-        }
-    }
 }
 
 impl LinearOperator for DenseMatrix {
@@ -280,15 +256,6 @@ mod tests {
     fn transpose_involution() {
         let a = DenseMatrix::from_fn(4, 6, |r, c| (r * 6 + c) as f64);
         assert_eq!(a.transposed().transposed(), a);
-    }
-
-    #[test]
-    fn column_normalization() {
-        let mut a = DenseMatrix::from_rows(&[vec![3.0, 0.0], vec![4.0, 0.0]]);
-        a.normalize_columns();
-        assert!((a.column_norm(0) - 1.0).abs() < 1e-12);
-        assert_eq!(a.column_norm(1), 0.0); // zero column untouched
-        assert!((a.get(0, 0) - 0.6).abs() < 1e-12);
     }
 
     #[test]

@@ -1,47 +1,11 @@
-//! Netpbm image I/O (PGM/PPM).
+//! Netpbm image output (PGM/PPM).
 //!
-//! The simulator's inputs and outputs are images; PGM (P2/P5) is the
-//! simplest interchange format every viewer understands and needs no
-//! dependency. Binary P5 is written by default; both ASCII P2 and
-//! binary P5 parse. A small false-color PPM writer visualizes error
-//! maps.
+//! The simulator's outputs are images; binary PGM (P5) is the simplest
+//! interchange format every viewer understands and needs no
+//! dependency. A small false-color PPM writer visualizes error maps.
 
 use crate::image::{ImageF64, ImageU8};
-use std::fmt;
-use std::io::{Read, Write};
-
-/// Error raised by the netpbm codec.
-#[derive(Debug)]
-pub enum PnmError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// The byte stream is not a PGM this reader supports.
-    Malformed(String),
-}
-
-impl fmt::Display for PnmError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PnmError::Io(e) => write!(f, "i/o error: {e}"),
-            PnmError::Malformed(msg) => write!(f, "malformed pnm: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for PnmError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            PnmError::Io(e) => Some(e),
-            PnmError::Malformed(_) => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for PnmError {
-    fn from(e: std::io::Error) -> Self {
-        PnmError::Io(e)
-    }
-}
+use std::io::{self, Write};
 
 /// Writes an 8-bit image as binary PGM (P5). A `&mut` reference to any
 /// `Write` works (e.g. `&mut Vec<u8>` or a file).
@@ -49,7 +13,7 @@ impl From<std::io::Error> for PnmError {
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
-pub fn write_pgm<W: Write>(image: &ImageU8, mut writer: W) -> Result<(), PnmError> {
+pub fn write_pgm<W: Write>(image: &ImageU8, mut writer: W) -> io::Result<()> {
     write!(writer, "P5\n{} {}\n255\n", image.width(), image.height())?;
     writer.write_all(image.as_slice())?;
     Ok(())
@@ -60,7 +24,7 @@ pub fn write_pgm<W: Write>(image: &ImageU8, mut writer: W) -> Result<(), PnmErro
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
-pub fn write_pgm_f64<W: Write>(image: &ImageF64, writer: W) -> Result<(), PnmError> {
+pub fn write_pgm_f64<W: Write>(image: &ImageF64, writer: W) -> io::Result<()> {
     write_pgm(&image.to_u8(), writer)
 }
 
@@ -70,13 +34,12 @@ pub fn write_pgm_f64<W: Write>(image: &ImageF64, writer: W) -> Result<(), PnmErr
 /// # Errors
 ///
 /// Propagates I/O errors; rejects a non-positive `max_abs`.
-pub fn write_error_ppm<W: Write>(
-    error: &ImageF64,
-    max_abs: f64,
-    mut writer: W,
-) -> Result<(), PnmError> {
+pub fn write_error_ppm<W: Write>(error: &ImageF64, max_abs: f64, mut writer: W) -> io::Result<()> {
     if max_abs <= 0.0 {
-        return Err(PnmError::Malformed("max_abs must be positive".into()));
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "max_abs must be positive",
+        ));
     }
     write!(writer, "P6\n{} {}\n255\n", error.width(), error.height())?;
     let mut buf = Vec::with_capacity(error.len() * 3);
@@ -93,99 +56,6 @@ pub fn write_error_ppm<W: Write>(
     Ok(())
 }
 
-/// Reads a PGM image (binary P5 or ASCII P2, maxval ≤ 255).
-///
-/// # Errors
-///
-/// Returns [`PnmError::Malformed`] for non-PGM input, unsupported
-/// maxval, or truncated pixel data.
-pub fn read_pgm<R: Read>(mut reader: R) -> Result<ImageU8, PnmError> {
-    let mut bytes = Vec::new();
-    reader.read_to_end(&mut bytes)?;
-    let mut pos = 0usize;
-
-    fn skip_ws_and_comments(bytes: &[u8], pos: &mut usize) {
-        loop {
-            while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-                *pos += 1;
-            }
-            if *pos < bytes.len() && bytes[*pos] == b'#' {
-                while *pos < bytes.len() && bytes[*pos] != b'\n' {
-                    *pos += 1;
-                }
-            } else {
-                return;
-            }
-        }
-    }
-
-    fn read_token<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<&'a [u8], PnmError> {
-        skip_ws_and_comments(bytes, pos);
-        let start = *pos;
-        while *pos < bytes.len() && !bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-        if start == *pos {
-            Err(PnmError::Malformed("unexpected end of header".into()))
-        } else {
-            Ok(&bytes[start..*pos])
-        }
-    }
-
-    fn read_usize(bytes: &[u8], pos: &mut usize, what: &str) -> Result<usize, PnmError> {
-        let tok = read_token(bytes, pos)?;
-        std::str::from_utf8(tok)
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| PnmError::Malformed(format!("bad {what}")))
-    }
-
-    let magic = read_token(&bytes, &mut pos)?.to_vec();
-    let binary = match magic.as_slice() {
-        b"P5" => true,
-        b"P2" => false,
-        other => {
-            return Err(PnmError::Malformed(format!(
-                "unsupported magic {:?}",
-                String::from_utf8_lossy(other)
-            )))
-        }
-    };
-    let width = read_usize(&bytes, &mut pos, "width")?;
-    let height = read_usize(&bytes, &mut pos, "height")?;
-    let maxval = read_usize(&bytes, &mut pos, "maxval")?;
-    if width == 0 || height == 0 {
-        return Err(PnmError::Malformed("zero dimensions".into()));
-    }
-    if maxval == 0 || maxval > 255 {
-        return Err(PnmError::Malformed(format!("unsupported maxval {maxval}")));
-    }
-    let n = width * height;
-    let data: Vec<u8> = if binary {
-        // Exactly one whitespace byte separates the header from pixels.
-        pos += 1;
-        if bytes.len() < pos + n {
-            return Err(PnmError::Malformed("truncated pixel data".into()));
-        }
-        bytes[pos..pos + n].to_vec()
-    } else {
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(read_usize(&bytes, &mut pos, "pixel")? as u8);
-        }
-        out
-    };
-    // Rescale non-255 maxval to the full 8-bit range.
-    let data = if maxval == 255 {
-        data
-    } else {
-        data.iter()
-            .map(|&v| ((v as usize * 255) / maxval) as u8)
-            .collect()
-    };
-    Ok(ImageU8::from_vec(width, height, data))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,39 +63,13 @@ mod tests {
     use crate::scenes::Scene;
 
     #[test]
-    fn p5_roundtrip_is_lossless() {
+    fn p5_is_header_then_raw_pixels() {
         let img = Scene::gaussian_blobs(2).render(17, 9, 3).to_u8();
         let mut buf = Vec::new();
         write_pgm(&img, &mut buf).unwrap();
-        let back = read_pgm(&buf[..]).unwrap();
-        assert_eq!(back, img);
-    }
-
-    #[test]
-    fn ascii_p2_parses_with_comments() {
-        let text = b"P2\n# a comment\n3 2\n# another\n255\n0 128 255\n10 20 30\n";
-        let img = read_pgm(&text[..]).unwrap();
-        assert_eq!(img.width(), 3);
-        assert_eq!(img.height(), 2);
-        assert_eq!(img.get(1, 0), 128);
-        assert_eq!(img.get(2, 1), 30);
-    }
-
-    #[test]
-    fn low_maxval_rescales() {
-        let text = b"P2\n2 1\n15\n0 15\n";
-        let img = read_pgm(&text[..]).unwrap();
-        assert_eq!(img.get(0, 0), 0);
-        assert_eq!(img.get(1, 0), 255);
-    }
-
-    #[test]
-    fn malformed_inputs_are_rejected() {
-        assert!(read_pgm(&b"P3\n1 1\n255\n0"[..]).is_err()); // PPM magic
-        assert!(read_pgm(&b"P5\n0 4\n255\n"[..]).is_err()); // zero dim
-        assert!(read_pgm(&b"P5\n2 2\n255\nab"[..]).is_err()); // truncated
-        assert!(read_pgm(&b"P5\n2 2\n65535\n"[..]).is_err()); // 16-bit
-        assert!(read_pgm(&b""[..]).is_err());
+        let header = b"P5\n17 9\n255\n";
+        assert_eq!(&buf[..header.len()], header);
+        assert_eq!(&buf[header.len()..], img.as_slice());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Images, synthetic scenes, metrics and sparsifying transforms.
+//! Images, synthetic scenes, metrics, sparsifying transforms and tiling.
 //!
 //! Compressive sampling works because natural images are compressible in
 //! a suitable basis. This crate supplies everything the TEPICS pipeline
@@ -13,13 +13,12 @@
 //! * [`metrics`] — MSE / MAE / PSNR / SSIM.
 //! * [`transforms`] — orthonormal 2-D DCT and Haar wavelet transforms,
 //!   the sparsifying dictionaries Ψ of the decoder.
-//! * [`block`] — 8×8-style block split/merge for block-based CS
-//!   baselines (paper refs. \[6–8\], \[11\]).
-//! * [`tile`] — frame geometry and overlapped tile decomposition for
-//!   block-parallel decoding of large frames ([`FrameGeometry`],
-//!   [`TileConfig`], [`tile::TileLayout`]).
-//! * [`sparsity`] — compressibility measurements (top-k energy, k-term
-//!   approximation error, Gini index).
+//! * [`tile`] — frame geometry and tile decomposition: overlapped
+//!   tiles for block-parallel decoding of large frames, and the B×B
+//!   blocks of the block-based CS baseline (paper refs. \[6–8\],
+//!   \[11\]) at overlap 0 ([`FrameGeometry`], [`TileConfig`],
+//!   [`tile::TileLayout`]).
+//! * [`io`] — PGM/PPM writers for images and error maps.
 //!
 //! # Examples
 //!
@@ -35,12 +34,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod block;
 pub mod image;
 pub mod io;
 pub mod metrics;
 pub mod scenes;
-pub mod sparsity;
 pub mod tile;
 pub mod transforms;
 

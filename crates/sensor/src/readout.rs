@@ -21,7 +21,6 @@ use crate::noise::NoiseModel;
 use crate::tdc::{Conversion, GlobalCounter, SampleAdd};
 use tepics_ca::BitPatternSource;
 use tepics_imaging::{ImageF64, ImageU8};
-use tepics_util::BitVec;
 
 /// Simulation fidelity of the readout path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +32,7 @@ pub enum Fidelity {
 }
 
 /// Aggregate event statistics for one captured frame.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EventStats {
     /// Pulses emitted by selected pixels across all samples.
     pub total_pulses: u64,
@@ -43,7 +42,7 @@ pub struct EventStats {
     pub missed_pulses: u64,
     /// Histogram of per-pulse code error `|code(grant) − code(flip)|`;
     /// index = error in LSB, last bin aggregates larger errors.
-    pub code_error_lsb: Vec<u64>,
+    pub code_error_lsb: [u64; 9],
     /// Largest serialization delay observed (s).
     pub max_delay: f64,
     /// Number of samples whose column accumulator clipped.
@@ -52,25 +51,7 @@ pub struct EventStats {
     pub sample_overflows: u64,
 }
 
-impl Default for EventStats {
-    fn default() -> Self {
-        EventStats::new()
-    }
-}
-
 impl EventStats {
-    fn new() -> Self {
-        EventStats {
-            total_pulses: 0,
-            queued_pulses: 0,
-            missed_pulses: 0,
-            code_error_lsb: vec![0; 9],
-            max_delay: 0.0,
-            column_overflows: 0,
-            sample_overflows: 0,
-        }
-    }
-
     /// Fraction of pulses with nonzero code error.
     pub fn error_fraction(&self) -> f64 {
         if self.total_pulses == 0 {
@@ -95,8 +76,7 @@ impl EventStats {
     }
 
     /// Folds another capture's statistics into this one: counters add,
-    /// the error histograms add bin-wise (growing to the longer one),
-    /// and `max_delay` keeps the maximum. Used to aggregate per-tile
+    /// the error histograms add bin-wise, and `max_delay` keeps the maximum. Used to aggregate per-tile
     /// captures into whole-frame statistics.
     pub fn merge(&mut self, other: &EventStats) {
         self.total_pulses += other.total_pulses;
@@ -105,11 +85,8 @@ impl EventStats {
         self.column_overflows += other.column_overflows;
         self.sample_overflows += other.sample_overflows;
         self.max_delay = self.max_delay.max(other.max_delay);
-        if self.code_error_lsb.len() < other.code_error_lsb.len() {
-            self.code_error_lsb.resize(other.code_error_lsb.len(), 0);
-        }
-        for (bin, &count) in other.code_error_lsb.iter().enumerate() {
-            self.code_error_lsb[bin] += count;
+        for (bin, &count) in self.code_error_lsb.iter_mut().zip(&other.code_error_lsb) {
+            *bin += count;
         }
     }
 }
@@ -119,8 +96,6 @@ impl EventStats {
 pub struct CapturedFrame {
     /// Compressed samples, one per selection pattern.
     pub samples: Vec<u32>,
-    /// The `(M+N)`-bit selection patterns used (rows ++ columns).
-    pub patterns: Vec<BitVec>,
     /// Event statistics (all zero in functional mode except totals).
     pub stats: EventStats,
 }
@@ -213,9 +188,8 @@ impl FrameReadout {
         let counter = GlobalCounter::new(&self.config);
         let arbiter = ColumnArbiter::new(&self.config);
         let mut sample_add = SampleAdd::for_config(&self.config);
-        let mut stats = EventStats::new();
+        let mut stats = EventStats::default();
         let mut samples = Vec::with_capacity(k);
-        let mut patterns = Vec::with_capacity(k);
         // Base flip times are scene-dependent only; jitter is per sample.
         let base: Vec<f64> = (0..m * n)
             .map(|px| self.base_flip_time(&noise, scene, px / n, px % n))
@@ -255,7 +229,7 @@ impl FrameReadout {
                                 stats.max_delay = stats.max_delay.max(e.delay());
                             }
                             let conv = counter.convert(e.t_grant);
-                            match (counter.ideal_code(e.t_flip), conv) {
+                            match (counter.convert(e.t_flip), conv) {
                                 (Conversion::Code(a), Conversion::Code(b)) => {
                                     let err = (b as i64 - a as i64).unsigned_abs() as usize;
                                     let bin = err.min(stats.code_error_lsb.len() - 1);
@@ -283,13 +257,8 @@ impl FrameReadout {
                 stats.sample_overflows += 1;
             }
             samples.push(word.value as u32);
-            patterns.push(pattern);
         }
-        CapturedFrame {
-            samples,
-            patterns,
-            stats,
-        }
+        CapturedFrame { samples, stats }
     }
 
     fn check_scene(&self, scene: &ImageF64) {
@@ -333,8 +302,11 @@ mod tests {
         let codes = readout.code_image(&scene);
         let mut src = source(&config, 11);
         let frame = readout.capture(&scene, &mut src, 25);
-        // Recompute each sample from the pattern and the code image.
-        for (k, pattern) in frame.patterns.iter().enumerate() {
+        // Recompute each sample from the replayed pattern and the code
+        // image.
+        let mut replay = source(&config, 11);
+        for k in 0..frame.samples.len() {
+            let pattern = replay.next_pattern();
             let mut expected = 0u32;
             for row in 0..16 {
                 for col in 0..16 {

@@ -53,12 +53,6 @@ impl GlobalCounter {
             Conversion::Code(ticks.min(self.code_max as u64) as u32)
         }
     }
-
-    /// The ideal code for a flip time, ignoring arbitration (used as the
-    /// ground truth in LSB-error analyses).
-    pub fn ideal_code(&self, t_flip: f64) -> Conversion {
-        self.convert(t_flip)
-    }
 }
 
 /// Per-column Sample & Add plus the final sample adder, with hardware

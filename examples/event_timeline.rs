@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("row | flip (us) | grant (us) | queued | code(ideal) | code(actual)");
     println!("----+-----------+------------+--------+-------------+-------------");
     for e in &outcome.events {
-        let ideal = match counter.ideal_code(e.t_flip) {
+        let ideal = match counter.convert(e.t_flip) {
             Conversion::Code(c) => c.to_string(),
             Conversion::Missed => "missed".into(),
         };
