@@ -9,8 +9,8 @@
 //! purchases: a seeded [`FaultInjector`] flips bits in the record
 //! stretch of a v3 tiled stream at increasing rates (the header is left
 //! intact, modelling a handshake-protected session setup), and each
-//! dirty stream is decoded to completion under
-//! [`ErasurePolicy::NeighborBlend`].
+//! dirty stream is decoded to completion, erased tiles filled from
+//! their neighbours.
 //!
 //! Written to `BENCH_resilience.json` per corruption rate:
 //!
@@ -62,12 +62,11 @@ struct RatePoint {
     mean_psnr_db: f64,
 }
 
-/// Decodes `bytes` under `policy` and returns `(frames, report)`,
-/// tolerating a poisoned tail (everything decoded before the error is
-/// kept — that is the graceful-degradation contract under test).
-fn decode_all(bytes: &[u8], policy: ErasurePolicy) -> (Vec<DecodedFrame>, DecodeReport) {
+/// Decodes `bytes` and returns `(frames, report)`, tolerating a
+/// poisoned tail (everything decoded before the error is kept — that
+/// is the graceful-degradation contract under test).
+fn decode_all(bytes: &[u8]) -> (Vec<DecodedFrame>, DecodeReport) {
     let mut dec = DecodeSession::new();
-    dec.erasure_policy(policy);
     let mut frames = dec.push_bytes(bytes).unwrap_or_default();
     frames.extend(dec.finish().unwrap_or_default());
     let report = dec.report();
@@ -93,7 +92,7 @@ fn measure(side: usize, n_frames: usize) -> (Vec<RatePoint>, usize, usize) {
 
     // Clean-decode truth, keyed by stream index (corrupted decodes may
     // lose frames; the survivors are scored against their own truth).
-    let (truth_frames, _) = decode_all(&clean, ErasurePolicy::NeighborBlend);
+    let (truth_frames, _) = decode_all(&clean);
     assert_eq!(
         truth_frames.len(),
         n_frames,
@@ -106,7 +105,7 @@ fn measure(side: usize, n_frames: usize) -> (Vec<RatePoint>, usize, usize) {
         let mut dirty = clean.clone();
         let bits_flipped =
             FaultInjector::new(FAULT_SEED).flip_bits_after(&mut dirty, header_len, rate);
-        let (frames, report) = decode_all(&dirty, ErasurePolicy::NeighborBlend);
+        let (frames, report) = decode_all(&dirty);
 
         let mut psnr_sum = 0.0;
         let mut scored = 0usize;
@@ -254,8 +253,8 @@ pub fn smoke() -> Result<String, Vec<String>> {
     let v3_bytes = enc_v3.into_bytes();
     let v2_bytes = enc_v2.into_bytes();
 
-    let (v3_frames, v3_report) = decode_all(&v3_bytes, ErasurePolicy::NeighborBlend);
-    let (v2_frames, _) = decode_all(&v2_bytes, ErasurePolicy::NeighborBlend);
+    let (v3_frames, v3_report) = decode_all(&v3_bytes);
+    let (v2_frames, _) = decode_all(&v2_bytes);
     if v3_frames.len() != n_frames || v2_frames.len() != n_frames {
         failures.push(format!(
             "resilience smoke: clean decodes yielded {} (v3) / {} (v2) of {n_frames} frames",
@@ -287,7 +286,7 @@ pub fn smoke() -> Result<String, Vec<String>> {
         tepics_core::stream::RESILIENT_TILED_HEADER_BYTES,
         0.001 / 8.0,
     );
-    let (frames, report) = decode_all(&dirty, ErasurePolicy::NeighborBlend);
+    let (frames, report) = decode_all(&dirty);
     let recovered = frames.len() as f64 / n_frames as f64;
     if recovered < 0.9 {
         failures.push(format!(

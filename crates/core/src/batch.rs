@@ -158,9 +158,8 @@ impl BatchRunner {
     /// its error (and whatever frames decoded before it) in its own
     /// [`StreamOutcome`] instead of aborting the batch, and the
     /// returned [`StreamBatchOutcome`] counts failed and degraded
-    /// streams. Resilient (version-3) streams degrade through the
-    /// default [`ErasurePolicy`](crate::session::ErasurePolicy) rather
-    /// than failing.
+    /// streams. Resilient (version-3) streams degrade (erased tiles are
+    /// filled from their neighbours) rather than failing.
     pub fn decode_streams(&self, streams: &[impl AsRef<[u8]> + Sync]) -> StreamBatchOutcome {
         // The pool's owned-item API wants 'static jobs, so each stream's
         // bytes are copied once up front — noise next to the decode.

@@ -149,7 +149,7 @@ pub struct Reconstruction {
 
 impl Reconstruction {
     /// Assembles a reconstruction from parts (used by the session layer
-    /// for delta-decoded frames).
+    /// for stitched tile groups).
     pub(crate) fn from_parts(codes: ImageF64, mean_code: f64, stats: SolveStats) -> Reconstruction {
         Reconstruction {
             codes,

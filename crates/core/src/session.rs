@@ -18,7 +18,6 @@
 //! |--------------------------------------------|---------------------------------------|
 //! | `imager.capture(&scene)` + `to_bytes()`    | `enc.capture(&scene)` + `to_bytes()`  |
 //! | `CompressedFrame::from_bytes` + `Decoder`  | `dec.push_bytes(&bytes)`              |
-//! | `SequenceDecoder::push` (removed)          | `dec.delta_mode(..)` + `push_bytes`   |
 //!
 //! # Tiled streams
 //!
@@ -80,11 +79,9 @@ use crate::solver::{RecoveryParams, SolverKind};
 use crate::stream::{
     StreamEvent, StreamParser, StreamWriter, WireProfile, STREAM_VERSION_RESILIENT,
 };
-use tepics_cs::dictionary::IdentityDictionary;
-use tepics_cs::ComposedOperator;
 use tepics_imaging::tile::{fill_uncovered, merge_tiles_sparse, TileLayout};
 use tepics_imaging::ImageF64;
-use tepics_recovery::{Iht, SolveStats, SolverWorkspace};
+use tepics_recovery::{SolveStats, SolverWorkspace};
 use tepics_sensor::EventStats;
 use tepics_util::pool::WorkerPool;
 
@@ -231,35 +228,6 @@ impl EncodeSession {
     }
 }
 
-/// Delta-decoding configuration of a [`DecodeSession`].
-#[derive(Debug, Clone, Copy)]
-struct DeltaMode {
-    sparsity: usize,
-    keyframe_interval: usize,
-}
-
-/// How a [`DecodeSession`] treats a tile group with erased
-/// (missing/corrupt) tiles on a resilient (version-3) tiled stream.
-///
-/// Versions 1 and 2 never reach this policy: their parser is sticky
-/// and a corrupt stream errors out instead of degrading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ErasurePolicy {
-    /// Drop any frame missing at least one tile (counted in
-    /// [`DecodeReport::frames_lost`]); emitted frames are always
-    /// complete.
-    Strict,
-    /// Stitch the surviving tiles and leave pixels no tile covers at
-    /// zero — the [`DecodedFrame::erased_tiles`] count flags the
-    /// degradation.
-    FlaggedZero,
-    /// Stitch the surviving tiles and fill uncovered pixels by
-    /// deterministic inward diffusion from the surviving boundary
-    /// ([`fill_uncovered`]) — the visually smoothest degradation.
-    #[default]
-    NeighborBlend,
-}
-
 /// Degradation accounting of one [`DecodeSession`].
 ///
 /// All counters are cumulative over the session's lifetime. On a clean
@@ -270,12 +238,10 @@ pub struct DecodeReport {
     /// Frames decoded from fully intact records.
     pub frames_recovered: usize,
     /// Frames emitted with at least one erased tile (resilient tiled
-    /// streams under [`ErasurePolicy::FlaggedZero`] /
-    /// [`ErasurePolicy::NeighborBlend`]).
+    /// streams).
     pub frames_degraded: usize,
     /// Frame positions known to exist (from sequence numbers) that were
-    /// never emitted: every record lost, or dropped by
-    /// [`ErasurePolicy::Strict`].
+    /// never emitted because every record of the frame was lost.
     pub frames_lost: usize,
     /// Tiles decoded into emitted frames (resilient tiled streams).
     pub tiles_recovered: usize,
@@ -285,9 +251,6 @@ pub struct DecodeReport {
     pub corrupt_events: usize,
     /// Total bytes the parser skipped as corrupt.
     pub bytes_skipped: usize,
-    /// Times delta-mode decoding re-anchored (full recovery) after a
-    /// gap instead of chaining a delta across it.
-    pub reanchors: usize,
     /// Duplicate/stale records discarded (replayed or re-ordered
     /// sequence numbers).
     pub stale_records: usize,
@@ -326,10 +289,6 @@ pub struct DecodedFrame {
     /// stream this is derived from wire sequence numbers, so it stays
     /// the *true* capture position even when earlier frames were lost.
     pub index: usize,
-    /// Whether this frame ran full sparse recovery (`true`) or delta
-    /// recovery against the previous reconstruction (`false`). Always
-    /// `true` outside delta mode.
-    pub is_key: bool,
     /// Number of tiles erased (missing or corrupt) from this frame;
     /// 0 for a fully intact frame.
     pub erased_tiles: usize,
@@ -357,15 +316,12 @@ fn scratch_key(header: &FrameHeader) -> u64 {
 
 /// Stitches per-tile reconstructions (row-major, `None` = erased) into
 /// one frame, pooling the solver stats (summed iterations,
-/// root-sum-square residual of the disjoint tile systems). A fully
-/// present set stitches bit-identically to the dense merge
-/// ([`merge_tiles_sparse`] documents that contract), so complete and
-/// degraded groups share this one path.
-fn stitch_group(
-    recons: &[Option<Reconstruction>],
-    layout: &TileLayout,
-    policy: ErasurePolicy,
-) -> Reconstruction {
+/// root-sum-square residual of the disjoint tile systems). Pixels no
+/// surviving tile covers are filled by deterministic inward diffusion
+/// from the surviving boundary ([`fill_uncovered`]); a fully present
+/// set covers every pixel, so complete and degraded groups share this
+/// one path.
+fn stitch_group(recons: &[Option<Reconstruction>], layout: &TileLayout) -> Reconstruction {
     let mut code_tiles: Vec<Option<Vec<f64>>> = Vec::with_capacity(recons.len());
     let mut stats = SolveStats {
         iterations: 0,
@@ -383,7 +339,7 @@ fn stitch_group(
         code_tiles.push(Some(recon.code_image().as_slice().to_vec()));
     }
     let (mut stitched, uncovered) = merge_tiles_sparse(&code_tiles, layout);
-    if policy == ErasurePolicy::NeighborBlend && uncovered.iter().any(|&u| u) {
+    if uncovered.iter().any(|&u| u) {
         fill_uncovered(&mut stitched, &uncovered);
     }
     let mean_code = stitched.mean();
@@ -396,13 +352,12 @@ fn stitch_group(
 /// call returns the frames completed by that chunk. All decoding state —
 /// the rebuilt measurement operator, the dictionary, the per-solver
 /// operator-norm estimate, the column-materialized view (for greedy
-/// solvers), the solver workspace, and (in delta mode) the previous
-/// reconstruction — lives in the session, keyed by the stream header,
-/// so a long same-seed sequence pays the operator construction cost
-/// exactly once and, once warm, decodes frames with zero heap
-/// allocation inside the solver loop (the cached Φ carries its
-/// precompiled gather structure; the workspace carries the iterate,
-/// greedy, and least-squares buffers). The allocation-free guarantee
+/// solvers) and the solver workspace — lives in the session, keyed by
+/// the stream header, so a long same-seed sequence pays the operator
+/// construction cost exactly once and, once warm, decodes frames with
+/// zero heap allocation inside the solver loop (the cached Φ carries
+/// its precompiled gather structure; the workspace carries the
+/// iterate, greedy, and least-squares buffers). The allocation-free guarantee
 /// covers every [`SolverKind`] — including the greedy pursuits and the
 /// CGLS debias pass.
 #[derive(Debug, Clone, Default)]
@@ -411,28 +366,18 @@ pub struct DecodeSession {
     cache: Arc<OperatorCache>,
     decoder: Option<Arc<Decoder>>,
     params: RecoveryParams,
-    delta: Option<DeltaMode>,
     header: Option<FrameHeader>,
-    prev_samples: Option<Vec<u32>>,
-    prev_codes: Option<ImageF64>,
-    last_mean: f64,
-    frames_since_key: usize,
     decoded: usize,
     /// Worker threads for tiled decodes (0 and 1 both mean inline).
     threads: usize,
-    /// Reused solver buffers of untiled and delta decodes: one
-    /// allocation for the whole stream. Tiled decodes solve on the
-    /// executors' sticky workspaces instead.
+    /// Reused solver buffers of untiled decodes: one allocation for
+    /// the whole stream. Tiled decodes solve on the executors' sticky
+    /// workspaces instead.
     workspace: SolverWorkspace,
-    /// Erased-tile handling for resilient tiled streams.
-    policy: ErasurePolicy,
     /// Cumulative degradation accounting.
     report: DecodeReport,
     /// Next expected sequence number (resilient untiled streams).
     next_seq: u64,
-    /// Set when a gap was detected in delta mode: the next frame must
-    /// re-anchor with full recovery instead of chaining a delta.
-    reanchor: bool,
     /// Slot-addressed tile group being assembled (`seq % tiles`
     /// indexes the slot; erased tiles of a resilient stream stay
     /// `None`).
@@ -470,7 +415,7 @@ impl DecodeSession {
         &self.cache
     }
 
-    /// Selects the sparsifying dictionary for key frames.
+    /// Selects the sparsifying dictionary.
     pub fn dictionary(&mut self, kind: DictionaryKind) -> &mut Self {
         self.params(RecoveryParams {
             dictionary: kind,
@@ -478,8 +423,7 @@ impl DecodeSession {
         })
     }
 
-    /// Selects the recovery algorithm for key frames (any
-    /// [`SolverKind`]).
+    /// Selects the recovery algorithm (any [`SolverKind`]).
     pub fn algorithm(&mut self, algorithm: SolverKind) -> &mut Self {
         self.params(RecoveryParams {
             solver: algorithm,
@@ -487,10 +431,10 @@ impl DecodeSession {
         })
     }
 
-    /// Applies a bundled [`RecoveryParams`] (solver + dictionary) for
-    /// key frames. Any setter may be called mid-stream: it drops the
-    /// session's decoder, and the next frame re-primes one from the
-    /// operator cache, which holds all the heavy state.
+    /// Applies a bundled [`RecoveryParams`] (solver + dictionary). Any
+    /// setter may be called mid-stream: it drops the session's decoder,
+    /// and the next frame re-primes one from the operator cache, which
+    /// holds all the heavy state.
     pub fn params(&mut self, params: RecoveryParams) -> &mut Self {
         self.params = params;
         self.decoder = None;
@@ -513,14 +457,6 @@ impl DecodeSession {
         self.parser.tile_layout()
     }
 
-    /// Sets how tile groups with erased tiles are handled on resilient
-    /// (version-3) tiled streams (default
-    /// [`ErasurePolicy::NeighborBlend`]).
-    pub fn erasure_policy(&mut self, policy: ErasurePolicy) -> &mut Self {
-        self.policy = policy;
-        self
-    }
-
     /// The session's cumulative degradation accounting.
     pub fn report(&self) -> DecodeReport {
         self.report
@@ -528,9 +464,9 @@ impl DecodeSession {
 
     /// Flushes the trailing partial tile group of a resilient tiled
     /// stream (the stream ended mid-frame, or its last records were
-    /// lost), stitching the surviving tiles per the erasure policy.
-    /// No-op — and always empty — for compact streams, whose partial
-    /// groups stay buffered awaiting more bytes.
+    /// lost), stitching the surviving tiles. No-op — and always empty —
+    /// for compact streams, whose partial groups stay buffered awaiting
+    /// more bytes.
     ///
     /// # Errors
     ///
@@ -545,20 +481,6 @@ impl DecodeSession {
             }
         }
         Ok(out)
-    }
-
-    /// Switches the session to sequence (delta) decoding: the first
-    /// frame (and every `keyframe_interval`-th frame; 0 = never again)
-    /// runs full recovery, intermediate frames recover only the
-    /// pixel-sparse delta `Φ⁻¹(y_t − y_{t−1})` with an IHT budget of
-    /// `sparsity` pixels. Frames must then share header *and* sample
-    /// count.
-    pub fn delta_mode(&mut self, sparsity: usize, keyframe_interval: usize) -> &mut Self {
-        self.delta = Some(DeltaMode {
-            sparsity: sparsity.max(1),
-            keyframe_interval,
-        });
-        self
     }
 
     /// The stream header (the tile header on a tiled stream), once the
@@ -605,8 +527,8 @@ impl DecodeSession {
     ///
     /// On a resilient (version-3) stream, corruption does not error:
     /// the parser resynchronizes, the session stitches what survives
-    /// per its [`ErasurePolicy`], and [`DecodeSession::report`]
-    /// accumulates what was lost.
+    /// (filling erased tiles from their neighbours), and
+    /// [`DecodeSession::report`] accumulates what was lost.
     ///
     /// Frames decoded before an error are never discarded: if a chunk
     /// decodes some frames and *then* hits an error, those frames are
@@ -675,27 +597,13 @@ impl DecodeSession {
         };
         let resilient = self.parser.wire_version() == Some(STREAM_VERSION_RESILIENT);
         match self.parser.tile_layout().cloned() {
-            Some(layout) => {
-                if self.delta.is_some() {
-                    return Err(CoreError::InvalidConfig(
-                        "delta mode is not supported for tiled streams (tiles are \
-                         recovered independently)"
-                            .into(),
-                    ));
-                }
-                self.push_tile(seq, frame, &layout, jobs);
-            }
+            Some(layout) => self.push_tile(seq, frame, &layout, jobs),
             None if resilient => {
                 if seq < self.next_seq {
                     self.report.stale_records += 1;
                     return Ok(());
                 }
-                if seq > self.next_seq {
-                    self.report.frames_lost += (seq - self.next_seq) as usize;
-                    if self.delta.is_some() {
-                        self.reanchor = true;
-                    }
-                }
+                self.report.frames_lost += (seq - self.next_seq) as usize;
                 self.next_seq = seq + 1;
                 out.push(self.decode(&frame, seq as usize)?);
             }
@@ -747,15 +655,15 @@ impl DecodeSession {
     }
 
     /// Closes the in-progress tile group into a decode job, or drops it
-    /// (strict policy / nothing survived), keeping the tile-level
-    /// report accounting here so counters reflect stream order even
-    /// though the solve happens later in [`DecodeSession::decode_jobs`].
+    /// when no tile survived, keeping the tile-level report accounting
+    /// here so counters reflect stream order even though the solve
+    /// happens later in [`DecodeSession::decode_jobs`].
     fn flush_group(&mut self, layout: &TileLayout) -> Option<GroupJob> {
         let frame_idx = self.group_idx.take()?;
         self.group_floor = frame_idx + 1;
         let total = layout.tiles();
         let present = self.slots.iter().flatten().count();
-        if present == 0 || (self.policy == ErasurePolicy::Strict && present < total) {
+        if present == 0 {
             self.report.frames_lost += 1;
             return None;
         }
@@ -840,7 +748,7 @@ impl DecodeSession {
         recons: &[Option<Reconstruction>],
         layout: &TileLayout,
     ) -> DecodedFrame {
-        let reconstruction = stitch_group(recons, layout, self.policy);
+        let reconstruction = stitch_group(recons, layout);
         let erased = recons.iter().filter(|r| r.is_none()).count();
         self.decoded += 1;
         if erased == 0 {
@@ -850,7 +758,6 @@ impl DecodeSession {
         }
         DecodedFrame {
             index,
-            is_key: true,
             erased_tiles: erased,
             reconstruction,
         }
@@ -881,102 +788,17 @@ impl DecodeSession {
         Ok(())
     }
 
-    /// Decodes one untiled frame at stream position `index`: full
-    /// recovery, or a delta against the previous frame in delta mode.
+    /// Decodes one untiled frame at stream position `index`.
     fn decode(&mut self, frame: &CompressedFrame, index: usize) -> Result<DecodedFrame, CoreError> {
         let decoder = self.decoder_for(&frame.header)?;
-        if std::mem::take(&mut self.reanchor) {
-            // A gap swallowed the frame the next delta would chain
-            // from: drop the chain and re-anchor with full recovery.
-            self.prev_samples = None;
-            self.prev_codes = None;
-            self.frames_since_key = 0;
-            self.report.reanchors += 1;
-        }
-        let is_key = match (&self.delta, &self.prev_samples) {
-            (Some(delta), Some(prev)) => {
-                if self.header.as_ref() != Some(&frame.header) || prev.len() != frame.samples.len()
-                {
-                    return Err(CoreError::FrameMismatch(
-                        "sequence frames must share header and sample count".into(),
-                    ));
-                }
-                delta.keyframe_interval > 0 && self.frames_since_key >= delta.keyframe_interval
-            }
-            _ => true,
-        };
-        let reconstruction = if is_key {
-            let recon = decoder.reconstruct_with(frame, &mut self.workspace)?;
-            self.frames_since_key = 0;
-            self.last_mean = recon.mean_code();
-            recon
-        } else {
-            self.decode_delta(frame, &decoder)?
-        };
-        if self.delta.is_some() {
-            if !is_key {
-                self.frames_since_key += 1;
-            }
-            self.prev_samples = Some(frame.samples.clone());
-            self.prev_codes = Some(reconstruction.code_image().clone());
-        }
+        let reconstruction = decoder.reconstruct_with(frame, &mut self.workspace)?;
         self.decoded += 1;
         self.report.frames_recovered += 1;
         Ok(DecodedFrame {
             index,
-            is_key,
             erased_tiles: 0,
             reconstruction,
         })
-    }
-
-    /// Delta recovery: `y_t − y_{t−1} = Φ(x_t − x_{t−1})`, solved
-    /// pixel-sparse (IHT, identity dictionary) against the previous
-    /// reconstruction. Same seed ⇒ same Φ, so the operator comes warm
-    /// from the cache.
-    fn decode_delta(
-        &mut self,
-        frame: &CompressedFrame,
-        decoder: &Decoder,
-    ) -> Result<Reconstruction, CoreError> {
-        let (Some(prev_samples), Some(prev_codes), Some(delta)) = (
-            self.prev_samples.as_ref(),
-            self.prev_codes.as_ref(),
-            self.delta,
-        ) else {
-            return Err(CoreError::InvalidConfig(
-                "delta decode needs delta mode and a previous frame".into(),
-            ));
-        };
-        let dy: Vec<f64> = frame
-            .samples
-            .iter()
-            .zip(prev_samples)
-            .map(|(&a, &b)| a as f64 - b as f64)
-            .collect();
-        let (phi, _) = self
-            .cache
-            .operator(&decoder.operator_key(frame.samples.len()))?;
-        let dict = IdentityDictionary::new(prev_codes.len());
-        let a =
-            ComposedOperator::new(phi.as_ref(), &dict).with_scratch(self.workspace.take_composed());
-        let rec =
-            Iht::new(delta.sparsity)
-                .max_iter(200)
-                .solve_with(&a, &dy, &mut self.workspace)?;
-        self.workspace.store_composed(a.into_scratch());
-        let code_max = ((1u32 << frame.header.code_bits) - 1) as f64;
-        let codes = ImageF64::from_vec(
-            prev_codes.width(),
-            prev_codes.height(),
-            prev_codes
-                .as_slice()
-                .iter()
-                .zip(&rec.coefficients)
-                .map(|(&p, &d)| (p + d).clamp(0.0, code_max))
-                .collect(),
-        );
-        Ok(Reconstruction::from_parts(codes, self.last_mean, rec.stats))
     }
 }
 
@@ -1020,7 +842,6 @@ mod tests {
         assert_eq!(decoded.len(), scenes.len());
         for (d, cold) in decoded.iter().zip(&per_frame) {
             assert_eq!(d.reconstruction, *cold, "frame {}", d.index);
-            assert!(d.is_key);
         }
     }
 
@@ -1060,74 +881,16 @@ mod tests {
     }
 
     #[test]
-    fn delta_mode_matches_sequence_decoder_semantics() {
-        let im = imager(24, 0xCAFE);
-        let scene = Scene::gaussian_blobs(3).render(24, 24, 5);
-        let frame = im.capture(&scene);
-        let mut session = DecodeSession::new();
-        session.delta_mode(20, 0);
-        let key = session.push_frame(&frame).unwrap();
-        assert!(key.is_key);
-        // Identical second frame: zero delta, identical reconstruction.
-        let second = session.push_frame(&frame).unwrap();
-        assert!(!second.is_key);
-        assert_eq!(
-            key.reconstruction.code_image(),
-            second.reconstruction.code_image()
-        );
-    }
-
-    #[test]
-    fn delta_mode_rejects_mismatched_frames() {
-        let im1 = imager(16, 1);
-        let im2 = imager(16, 2);
+    fn push_frame_rejects_a_frame_of_another_stream() {
         let scene = Scene::Uniform(0.5).render(16, 16, 0);
-        let f1 = im1.capture(&scene);
-        let f2 = im2.capture(&scene);
+        let f1 = imager(16, 1).capture(&scene);
+        let f2 = imager(16, 2).capture(&scene);
         let mut session = DecodeSession::new();
-        session.delta_mode(10, 0);
         session.push_frame(&f1).unwrap();
         assert!(matches!(
             session.push_frame(&f2),
             Err(CoreError::FrameMismatch(_))
         ));
-    }
-
-    #[test]
-    fn keyframe_interval_refreshes_full_recovery() {
-        let im = imager(16, 0xCC);
-        let scene = Scene::gaussian_blobs(3).render(16, 16, 9);
-        let frame = im.capture(&scene);
-        let mut session = DecodeSession::new();
-        session.delta_mode(20, 2);
-        let flags: Vec<bool> = (0..5)
-            .map(|_| session.push_frame(&frame).unwrap().is_key)
-            .collect();
-        assert_eq!(flags, vec![true, false, false, true, false]);
-    }
-
-    #[test]
-    fn session_tracks_quality_of_a_moving_sequence() {
-        let im = imager(24, 0x5E9);
-        let mut enc = EncodeSession::new(im.clone()).unwrap();
-        let mut truths = Vec::new();
-        for t in 0..4 {
-            let mut scene = Scene::gaussian_blobs(2).render(24, 24, 77);
-            for dy in 0..2 {
-                for dx in 0..2 {
-                    scene.set(3 + t * 3 + dx, 10 + dy, 0.95);
-                }
-            }
-            truths.push(im.ideal_codes(&scene).to_code_f64());
-            enc.capture(&scene).unwrap();
-        }
-        let mut dec = DecodeSession::new();
-        dec.delta_mode(40, 0);
-        let decoded = dec.push_bytes(&enc.to_bytes()).unwrap();
-        for (d, truth) in decoded.iter().zip(&truths) {
-            let db = psnr(truth, d.reconstruction.code_image(), 255.0);
-            assert!(db > 22.0, "frame {}: {db:.1} dB", d.index);
-        }
     }
 
     fn tiled_imager(seed: u64) -> CompressiveImager {
@@ -1163,7 +926,6 @@ mod tests {
         for d in &decoded {
             let img = d.reconstruction.code_image();
             assert_eq!((img.width(), img.height()), (40, 28));
-            assert!(d.is_key);
         }
         // One operator serves every tile of every frame.
         let stats = dec.cache().stats();
@@ -1209,19 +971,6 @@ mod tests {
         let decoded = dec.push_bytes(&enc.to_bytes()).unwrap();
         let db = psnr(&ideal, decoded[0].reconstruction.code_image(), 255.0);
         assert!(db > 20.0, "stitched decode too poor: {db:.1} dB");
-    }
-
-    #[test]
-    fn delta_mode_conflicts_with_tiled_streams() {
-        let im = tiled_imager(5);
-        let mut enc = EncodeSession::new(im).unwrap();
-        enc.capture(&Scene::Uniform(0.4).render(40, 28, 0)).unwrap();
-        let mut dec = DecodeSession::new();
-        dec.delta_mode(10, 0);
-        assert!(matches!(
-            dec.push_bytes(&enc.to_bytes()),
-            Err(CoreError::InvalidConfig(_))
-        ));
     }
 
     #[test]
@@ -1303,7 +1052,7 @@ mod tests {
     }
 
     #[test]
-    fn erased_tile_degrades_gracefully_per_policy() {
+    fn erased_tile_degrades_gracefully() {
         let im = tiled_imager(77);
         let layout = im.tile_layout().unwrap().clone();
         let mut enc = EncodeSession::with_profile(im, WireProfile::Resilient).unwrap();
@@ -1322,73 +1071,20 @@ mod tests {
         dirty[start + 15] ^= 0x10;
         assert!(end <= bytes.len());
 
-        for policy in [ErasurePolicy::NeighborBlend, ErasurePolicy::FlaggedZero] {
-            let mut dec = DecodeSession::new();
-            dec.erasure_policy(policy);
-            let mut out = dec.push_bytes(&dirty).unwrap();
-            out.extend(dec.finish().unwrap());
-            assert_eq!(out.len(), 1, "{policy:?}");
-            assert_eq!(out[0].erased_tiles, 1);
-            assert_eq!(out[0].index, 0);
-            let img = out[0].reconstruction.code_image();
-            assert_eq!((img.width(), img.height()), (40, 28));
-            assert!(img.as_slice().iter().all(|v| v.is_finite()));
-            let report = dec.report();
-            assert_eq!(report.frames_degraded, 1);
-            assert_eq!(report.tiles_erased, 1);
-            assert_eq!(report.tiles_recovered, layout.tiles() - 1);
-            assert_eq!(report.corrupt_events, 1);
-            assert!(report.bytes_skipped >= rec_len);
-        }
-
-        // Strict: the damaged frame is dropped, not stitched.
         let mut dec = DecodeSession::new();
-        dec.erasure_policy(ErasurePolicy::Strict);
         let mut out = dec.push_bytes(&dirty).unwrap();
         out.extend(dec.finish().unwrap());
-        assert!(out.is_empty());
-        assert_eq!(dec.report().frames_lost, 1);
-    }
-
-    #[test]
-    fn delta_mode_reanchors_after_a_dropped_frame() {
-        let im = imager(24, 0xD17A);
-        let header = im.frame_header();
-        let scenes: Vec<ImageF64> = (0..5)
-            .map(|i| Scene::gaussian_blobs(2).render(24, 24, 40 + i as u64))
-            .collect();
-        let mut enc = EncodeSession::with_profile(im, WireProfile::Resilient).unwrap();
-        let mut captured = Vec::new();
-        for scene in &scenes {
-            captured.extend(enc.capture(scene).unwrap());
-        }
-        let bytes = enc.into_bytes();
-        let rec_len = resilient_record_len(captured[0].samples.len(), header.sample_bits as usize);
-        // Excise record 2 completely: a gap, not in-place corruption.
-        let (start, end) = record_span(crate::stream::RESILIENT_HEADER_BYTES, rec_len, 2);
-        let mut gapped = bytes[..start].to_vec();
-        gapped.extend_from_slice(&bytes[end..]);
-
-        let mut dec = DecodeSession::new();
-        dec.delta_mode(30, 0);
-        let out = dec.push_bytes(&gapped).unwrap();
-        assert_eq!(out.len(), 4);
-        assert_eq!(
-            out.iter().map(|d| d.index).collect::<Vec<_>>(),
-            vec![0, 1, 3, 4],
-            "true stream positions survive the gap"
-        );
-        assert!(out[2].is_key, "first frame after the gap re-anchors");
-        assert!(!out[3].is_key, "chaining resumes after the re-anchor");
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].erased_tiles, 1);
+        assert_eq!(out[0].index, 0);
+        let img = out[0].reconstruction.code_image();
+        assert_eq!((img.width(), img.height()), (40, 28));
+        assert!(img.as_slice().iter().all(|v| v.is_finite()));
         let report = dec.report();
-        assert_eq!(report.frames_lost, 1);
-        assert_eq!(report.reanchors, 1);
-        // The re-anchored frame is a *full* recovery: bit-identical to
-        // decoding record 3 fresh in its own session.
-        let fresh = DecodeSession::new().push_frame(&captured[3]).unwrap();
-        assert_eq!(
-            out[2].reconstruction, fresh.reconstruction,
-            "re-anchor must not chain across the gap"
-        );
+        assert_eq!(report.frames_degraded, 1);
+        assert_eq!(report.tiles_erased, 1);
+        assert_eq!(report.tiles_recovered, layout.tiles() - 1);
+        assert_eq!(report.corrupt_events, 1);
+        assert!(report.bytes_skipped >= rec_len);
     }
 }

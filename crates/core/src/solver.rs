@@ -15,8 +15,7 @@
 //! decoder-side setting only and never crosses the wire.
 
 use crate::decoder::DictionaryKind;
-use tepics_recovery::solver::norm_seeds;
-use tepics_recovery::{Amp, Cgls, CoSaMp, Fista, Iht, Ista, Omp, Solver};
+use tepics_recovery::{Amp, Cgls, CoSaMp, Fista, Iht, Ista, Omp, Solver, SolverCaps};
 
 /// Recovery algorithms available to the decoder — every solver of
 /// `tepics-recovery` behind one configuration enum.
@@ -89,18 +88,15 @@ impl Default for SolverKind {
 }
 
 impl SolverKind {
-    /// Short stable name (matches the underlying solver's
-    /// [`caps().name`](tepics_recovery::SolverCaps)), for reports.
+    /// The capabilities the configured solver itself reports.
+    fn caps(&self) -> SolverCaps {
+        self.instantiate(None).as_solver().caps()
+    }
+
+    /// Short stable name (the underlying solver's
+    /// [`caps().name`](SolverCaps)), for reports.
     pub fn name(&self) -> &'static str {
-        match self {
-            SolverKind::Fista { .. } => "fista",
-            SolverKind::Ista { .. } => "ista",
-            SolverKind::Amp { .. } => "amp",
-            SolverKind::Iht { .. } => "iht",
-            SolverKind::Omp { .. } => "omp",
-            SolverKind::CoSamp { .. } => "cosamp",
-            SolverKind::Cgls { .. } => "cgls",
-        }
+        self.caps().name
     }
 
     /// Whether the CGLS debias pass wraps this solver.
@@ -117,19 +113,13 @@ impl SolverKind {
     /// it runs one (the cache memoizes the estimate per seed so solvers
     /// never see each other's step sizes).
     pub(crate) fn norm_seed(&self) -> Option<u64> {
-        match self {
-            SolverKind::Fista { .. } => Some(norm_seeds::FISTA),
-            SolverKind::Ista { .. } => Some(norm_seeds::ISTA),
-            SolverKind::Iht { .. } => Some(norm_seeds::IHT),
-            SolverKind::Amp { .. } => Some(norm_seeds::AMP),
-            _ => None,
-        }
+        self.caps().norm_seed
     }
 
     /// Whether the solver works column-wise and should be served a
     /// column-materialized operator view.
     pub(crate) fn column_hungry(&self) -> bool {
-        matches!(self, SolverKind::Omp { .. } | SolverKind::CoSamp { .. })
+        self.caps().column_hungry
     }
 
     /// Whether decoding through a column view takes a different
@@ -369,17 +359,6 @@ mod tests {
                 "{}",
                 kind.name()
             );
-        }
-    }
-
-    #[test]
-    fn instantiate_matches_trait_caps() {
-        for kind in all_kinds(64) {
-            let built = kind.instantiate(None);
-            let caps = built.as_solver().caps();
-            assert_eq!(caps.name, kind.name());
-            assert_eq!(caps.norm_seed, kind.norm_seed(), "{}", kind.name());
-            assert_eq!(caps.column_hungry, kind.column_hungry(), "{}", kind.name());
         }
     }
 

@@ -203,15 +203,66 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
+/// Completion plumbing of one `map` or `broadcast` call: a countdown
+/// of outstanding units of work and the first panic any of them raised.
+struct Completion {
+    remaining: Mutex<usize>,
+    done: Condvar,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl Completion {
+    fn new(units: usize) -> Completion {
+        Completion {
+            remaining: Mutex::new(units),
+            done: Condvar::new(),
+            panic: Mutex::new(None),
+        }
+    }
+
+    /// Runs one unit: hands its result to `store`, or records its panic
+    /// (first payload wins), then counts the unit down.
+    fn run<R>(&self, work: impl FnOnce() -> R, store: impl FnOnce(R)) {
+        match catch_unwind(AssertUnwindSafe(work)) {
+            Ok(result) => store(result),
+            Err(payload) => {
+                let mut first = lock(&self.panic);
+                if first.is_none() {
+                    *first = Some(payload);
+                }
+            }
+        }
+        let mut remaining = lock(&self.remaining);
+        *remaining -= 1;
+        if *remaining == 0 {
+            self.done.notify_all();
+        }
+    }
+
+    /// Blocks until every unit has run, then re-raises the first panic.
+    fn wait(&self) {
+        let mut remaining = lock(&self.remaining);
+        while *remaining > 0 {
+            remaining = self
+                .done
+                .wait(remaining)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(remaining);
+        let panicked = lock(&self.panic).take();
+        if let Some(payload) = panicked {
+            resume_unwind(payload);
+        }
+    }
+}
+
 /// One `map` call's shared task state: an index-enumerated item queue,
-/// an input-ordered result table, and completion/panic plumbing.
+/// an input-ordered result table, and one unit of completion per item.
 struct TaskSet<T, R, F> {
     f: F,
     items: Mutex<std::iter::Enumerate<std::vec::IntoIter<T>>>,
     results: Mutex<Vec<Option<R>>>,
-    remaining: Mutex<usize>,
-    done: Condvar,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    completion: Completion,
 }
 
 /// Claims and runs items from `set` until the queue is empty. Runs on
@@ -231,29 +282,20 @@ where
         let Some((index, item)) = claimed else {
             break;
         };
-        match catch_unwind(AssertUnwindSafe(|| (set.f)(index, item, scratch))) {
-            Ok(result) => {
+        set.completion.run(
+            || (set.f)(index, item, scratch),
+            |result| {
                 if let Some(slot) = lock(&set.results).get_mut(index) {
                     *slot = Some(result);
                 }
-            }
-            Err(payload) => {
-                let mut first = lock(&set.panic);
-                if first.is_none() {
-                    *first = Some(payload);
-                }
-            }
-        }
-        let mut remaining = lock(&set.remaining);
-        *remaining -= 1;
-        if *remaining == 0 {
-            set.done.notify_all();
-        }
+            },
+        );
     });
 }
 
 /// One `broadcast` call's shared state: a rendezvous barrier that pins
-/// each ticket to a distinct worker, plus completion/panic plumbing.
+/// each ticket to a distinct worker, plus one unit of completion per
+/// executor (the caller included).
 struct BroadcastSet<F> {
     f: F,
     /// Tickets that must all be claimed before any runs (forces
@@ -261,9 +303,7 @@ struct BroadcastSet<F> {
     needed: usize,
     arrived: Mutex<usize>,
     all_arrived: Condvar,
-    remaining: Mutex<usize>,
-    done: Condvar,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
+    completion: Completion,
 }
 
 /// Runs one broadcast ticket: rendezvous with the other tickets (so
@@ -283,17 +323,7 @@ fn run_broadcast<F: Fn(&mut WorkerScratch)>(set: &BroadcastSet<F>) {
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
-    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| with_scratch(|s| (set.f)(s)))) {
-        let mut first = lock(&set.panic);
-        if first.is_none() {
-            *first = Some(payload);
-        }
-    }
-    let mut remaining = lock(&set.remaining);
-    *remaining -= 1;
-    if *remaining == 0 {
-        set.done.notify_all();
-    }
+    set.completion.run(|| with_scratch(|s| (set.f)(s)), drop);
 }
 
 /// A worker's life: claim a job or park on the condvar; exit only at
@@ -432,9 +462,7 @@ impl WorkerPool {
             f,
             items: Mutex::new(items.into_iter().enumerate()),
             results: Mutex::new(results),
-            remaining: Mutex::new(n),
-            done: Condvar::new(),
-            panic: Mutex::new(None),
+            completion: Completion::new(n),
         });
         let helpers = self.ensure_workers(want - 1).min(want - 1);
         {
@@ -448,18 +476,7 @@ impl WorkerPool {
         // The caller is executor #0: it works the same queue instead of
         // blocking, so the map completes even with zero live workers.
         run_tasks(&set);
-        let mut remaining = lock(&set.remaining);
-        while *remaining > 0 {
-            remaining = set
-                .done
-                .wait(remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(remaining);
-        let panicked = lock(&set.panic).take();
-        if let Some(payload) = panicked {
-            resume_unwind(payload);
-        }
+        set.completion.wait();
         let results = std::mem::take(&mut *lock(&set.results));
         results
             .into_iter()
@@ -498,9 +515,7 @@ impl WorkerPool {
             needed: workers,
             arrived: Mutex::new(0),
             all_arrived: Condvar::new(),
-            remaining: Mutex::new(workers),
-            done: Condvar::new(),
-            panic: Mutex::new(None),
+            completion: Completion::new(workers + 1),
         });
         {
             let mut state = lock(&self.inner.state);
@@ -513,24 +528,8 @@ impl WorkerPool {
         }
         self.inner.work_ready.notify_all();
         // The caller warms its own scratch while the workers rendezvous.
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| with_scratch(|s| (set.f)(s)))) {
-            let mut first = lock(&set.panic);
-            if first.is_none() {
-                *first = Some(payload);
-            }
-        }
-        let mut remaining = lock(&set.remaining);
-        while *remaining > 0 {
-            remaining = set
-                .done
-                .wait(remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        drop(remaining);
-        let panicked = lock(&set.panic).take();
-        if let Some(payload) = panicked {
-            resume_unwind(payload);
-        }
+        set.completion.run(|| with_scratch(|s| (set.f)(s)), drop);
+        set.completion.wait();
     }
 }
 

@@ -70,8 +70,7 @@
 //! # Migrating from the frame-at-a-time API
 //!
 //! The single-frame entry points still work, but every loop over frames
-//! is simpler and faster as a session (the deprecated `SequenceDecoder`
-//! shim has been removed — use delta mode):
+//! is simpler and faster as a session:
 //!
 //! | frame API                                            | session API                                  |
 //! |------------------------------------------------------|----------------------------------------------|
@@ -79,7 +78,6 @@
 //! | `CompressedFrame::from_bytes(&bytes)?`               | `dec.push_bytes(&bytes)?`                    |
 //! | `Decoder::for_frame(&frame)?.reconstruct(&frame)?`   | `dec.push_bytes(..)` / `dec.push_frame(..)`  |
 //! | `decoder.params(..)` / `.dictionary(..)` / `.algorithm(..)` | same calls on `DecodeSession`, mid-stream too |
-//! | `SequenceDecoder::new(&first, s, n)?` + `push(..)` (removed) | `dec.delta_mode(s, n)` + `push_bytes(..)` |
 //! | `pipeline::evaluate(&imager, &scene)?` per scene     | `pipeline::evaluate_with_cache(&cache, &imager, params, &scene)?` |
 //! | N × `Decoder::for_frame` rebuilding Φ per frame      | one `OperatorCache`, Φ built once            |
 //! | `builder(rows, cols)` (one sensor-sized frame)       | `builder_for(FrameGeometry)` + `.tiling(TileConfig)` — stitched tiled decode |

@@ -7,8 +7,10 @@
 //!   completion with ≥90% of its frames recovered and no panics;
 //! * a clean v3 stream decodes bit-identical to the compact (v1/v2)
 //!   container carrying the same records;
-//! * delta mode re-anchors after a frame lost to corruption, and the
-//!   re-anchored frame matches a fresh full decode bit for bit;
+//! * a frame whose record is lost is counted lost, later frames keep
+//!   their true stream positions, and the next frame decodes
+//!   bit-identical to a fresh decode of its record;
+//! * a replayed record is counted stale and changes no frame;
 //! * one corrupt stream in a batch degrades only itself;
 //! * 2000 rounds of seeded hostile mutations never panic the v3 parser
 //!   and never stop it terminating.
@@ -62,9 +64,8 @@ fn resilient_stream(
 
 /// Drains a session over `bytes`, keeping everything decoded before
 /// any poisoned tail.
-fn decode_lenient(bytes: &[u8], policy: ErasurePolicy) -> (Vec<DecodedFrame>, DecodeReport) {
+fn decode_lenient(bytes: &[u8]) -> (Vec<DecodedFrame>, DecodeReport) {
     let mut dec = DecodeSession::new();
-    dec.erasure_policy(policy);
     let mut frames = dec.push_bytes(bytes).unwrap_or_default();
     frames.extend(dec.finish().unwrap_or_default());
     (frames, dec.report())
@@ -85,7 +86,7 @@ fn tiled_stream_survives_the_acceptance_corruption_rate() {
             RESILIENT_TILED_HEADER_BYTES,
             0.001 / 8.0,
         );
-        let (frames, report) = decode_lenient(&dirty, ErasurePolicy::NeighborBlend);
+        let (frames, report) = decode_lenient(&dirty);
         let recovered = frames.len() as f64 / n_frames as f64;
         assert!(
             recovered >= 0.9,
@@ -123,8 +124,8 @@ fn clean_v3_decodes_bit_identical_to_compact_containers() {
         }
         assert_eq!(compact.wire_version(), if tiled { 2 } else { 1 });
 
-        let (v3, v3_report) = decode_lenient(&v3_bytes, ErasurePolicy::default());
-        let (compact_frames, _) = decode_lenient(&compact.into_bytes(), ErasurePolicy::default());
+        let (v3, v3_report) = decode_lenient(&v3_bytes);
+        let (compact_frames, _) = decode_lenient(&compact.into_bytes());
         assert_eq!(v3.len(), 4);
         assert_eq!(v3.len(), compact_frames.len());
         assert_eq!(v3_report.corrupt_events, 0);
@@ -141,50 +142,78 @@ fn clean_v3_decodes_bit_identical_to_compact_containers() {
     }
 }
 
-/// Byte span of untiled v3 record `i` (sync words every
-/// `SYNC_INTERVAL` records, fixed record length).
-fn record_span(rec_len: usize, i: usize) -> (usize, usize) {
-    let start = RESILIENT_HEADER_BYTES + 4 * (i / SYNC_INTERVAL + 1) + i * rec_len;
+/// Byte span of v3 record `i` after a `header_len`-byte stream header
+/// (sync words every `SYNC_INTERVAL` records, fixed record length).
+fn record_span(header_len: usize, captures: &[Vec<CompressedFrame>], i: usize) -> (usize, usize) {
+    let record = &captures[0][0];
+    let rec_len = RESILIENT_RECORD_PREFIX_BYTES
+        + (record.sample_count() * record.header.sample_bits as usize).div_ceil(8)
+        + 1;
+    let start = header_len + 4 * (i / SYNC_INTERVAL + 1) + i * rec_len;
     (start, start + rec_len)
 }
 
-/// Delta mode across a gap: excising one record from a v3 stream loses
-/// that frame, and the decoder re-anchors — the first frame after the
-/// gap is re-keyed and matches a fresh full decode bit for bit.
+/// A gap in an untiled v3 stream: excising one record loses exactly
+/// that frame. The frames after it keep their true stream positions
+/// (from sequence numbers), and the first of them decodes bit-identical
+/// to a fresh decode of the same record.
 #[test]
-fn delta_decode_reanchors_across_a_dropped_frame() {
+fn dropped_record_is_counted_lost_and_keeps_stream_positions() {
     let im = untiled_imager(24, 0xDE17A);
     let (clean, captures) = resilient_stream(im, 5, 300);
-    let rec_len = RESILIENT_RECORD_PREFIX_BYTES
-        + (captures[0][0].sample_count() * captures[0][0].header.sample_bits as usize).div_ceil(8)
-        + 1;
 
     // Drop frame 2 entirely (mid-stream, not on a sync boundary).
-    let (start, end) = record_span(rec_len, 2);
+    let (start, end) = record_span(RESILIENT_HEADER_BYTES, &captures, 2);
     let mut gapped = clean.clone();
     gapped.drain(start..end);
 
     let mut dec = DecodeSession::new();
-    dec.delta_mode(25, 0);
     let decoded = dec.push_bytes(&gapped).unwrap();
-    let report = dec.report();
     assert_eq!(
         decoded.iter().map(|d| d.index).collect::<Vec<_>>(),
         vec![0, 1, 3, 4],
         "frame 2 lost, indices preserved from sequence numbers"
     );
-    assert_eq!(report.frames_lost, 1);
-    assert_eq!(report.reanchors, 1, "one re-anchor at the gap");
-    assert!(decoded[2].is_key, "first frame after the gap is re-keyed");
+    assert_eq!(dec.report().frames_lost, 1);
 
-    // The re-anchored frame must equal a fresh, gap-free full decode of
-    // the same record — no delta residue from before the gap.
     let mut fresh = DecodeSession::new();
     let reference = fresh.push_frame(&captures[3][0]).unwrap();
     assert_eq!(
         decoded[2].reconstruction, reference.reconstruction,
-        "re-anchored decode must be bit-identical to a fresh decode"
+        "the frame after the gap must decode bit-identical to a fresh decode"
     );
+}
+
+/// A replayed record (one record duplicated in place, untiled and
+/// tiled) is discarded as stale: the emitted frames equal the clean
+/// decode, the ledger counts exactly one stale record, and the batch
+/// runner reports the stream as degraded.
+#[test]
+fn duplicated_record_is_counted_stale_and_changes_no_frame() {
+    for tiled in [false, true] {
+        let (im, header_len) = if tiled {
+            (tiled_imager(32, 0xD0B1), RESILIENT_TILED_HEADER_BYTES)
+        } else {
+            (untiled_imager(24, 0xD0B1), RESILIENT_HEADER_BYTES)
+        };
+        let (clean, captures) = resilient_stream(im, 3, 410);
+        let (start, end) = record_span(header_len, &captures, 2);
+        let mut replayed = clean[..end].to_vec();
+        replayed.extend_from_slice(&clean[start..]);
+
+        let (expected, _) = decode_lenient(&clean);
+        let (frames, report) = decode_lenient(&replayed);
+        assert_eq!(
+            frames, expected,
+            "tiled={tiled}: a replay changed the output"
+        );
+        assert_eq!(report.stale_records, 1, "tiled={tiled}");
+        assert_eq!(report.corrupt_events, 0, "tiled={tiled}");
+
+        let batch = BatchRunner::with_threads(1).decode_streams(&[replayed]);
+        assert!(batch.outcomes[0].is_degraded(), "tiled={tiled}");
+        assert_eq!(batch.outcomes[0].frames, expected, "tiled={tiled}");
+    }
 }
 
 /// Batch isolation end to end: one corrupted v3 stream among clean
@@ -313,17 +342,10 @@ fn session_survives_hostile_mutations_with_consistent_reports() {
                 f.duplicate_range(&mut bytes, 100);
             }
         }
-        // Rotate the erasure policy round to round, so every policy
-        // meets every fault class across the sweep.
-        let policy = match round % 3 {
-            0 => ErasurePolicy::Strict,
-            1 => ErasurePolicy::FlaggedZero,
-            _ => ErasurePolicy::NeighborBlend,
-        };
-        let (frames, report) = decode_lenient(&bytes, policy);
+        let (frames, report) = decode_lenient(&bytes);
         assert!(
             frames.len() <= report.frames_seen().max(n_frames),
-            "round {round} {policy:?}: more frames out than the ledger accounts for"
+            "round {round}: more frames out than the ledger accounts for"
         );
         for d in &frames {
             let (w, h) = (

@@ -138,31 +138,6 @@ fn chunked_ingestion_is_equivalent_to_one_shot() {
     assert_eq!(chunked.buffered_bytes(), 0);
 }
 
-/// Delta mode over the wire: a static scene sequence reconstructs
-/// identically frame to frame, and the delta frames are flagged.
-#[test]
-fn delta_mode_streams_static_scenes_for_free() {
-    let im = imager(24, 0xF1DE);
-    let scene = Scene::gaussian_blobs(3).render(24, 24, 5);
-    let mut enc = EncodeSession::new(im).unwrap();
-    for _ in 0..3 {
-        enc.capture(&scene).unwrap();
-    }
-    let mut dec = DecodeSession::new();
-    dec.delta_mode(20, 0);
-    let decoded = dec.push_bytes(&enc.to_bytes()).unwrap();
-    assert_eq!(decoded.len(), 3);
-    assert!(decoded[0].is_key);
-    assert!(!decoded[1].is_key && !decoded[2].is_key);
-    for d in &decoded[1..] {
-        assert_eq!(
-            d.reconstruction.code_image(),
-            decoded[0].reconstruction.code_image(),
-            "zero delta must not move the reconstruction"
-        );
-    }
-}
-
 /// Whole streams on the batch engine: `decode_streams` results are
 /// bit-identical at any thread count (the PR-1 guarantee, extended from
 /// single frames to sequences).
@@ -188,43 +163,6 @@ fn batch_stream_decoding_is_thread_count_invariant() {
     let runner = BatchRunner::with_threads(4);
     runner.decode_streams(&streams);
     assert_eq!(runner.cache().stats().misses, 1);
-}
-
-/// Delta-mode parity between the two session entry points: parsed
-/// frames pushed one at a time (`push_frame`) reproduce a delta-mode
-/// session fed raw stream bytes (`push_bytes`) bit for bit. (This is
-/// the contract the removed `SequenceDecoder` shim used to bridge.)
-#[test]
-fn delta_session_frame_and_byte_entry_points_agree() {
-    let im = imager(24, 0x0DD);
-    let mut enc = EncodeSession::new(im.clone()).unwrap();
-    let mut frames = Vec::new();
-    for i in 0..3 {
-        let mut scene = Scene::gaussian_blobs(2).render(24, 24, 9);
-        scene.set(4 + i, 12, 0.9);
-        frames.extend(enc.capture(&scene).unwrap());
-    }
-    let mut by_frame = DecodeSession::new();
-    by_frame.delta_mode(25, 0);
-    let frame_codes: Vec<ImageF64> = frames
-        .iter()
-        .map(|f| {
-            by_frame
-                .push_frame(f)
-                .unwrap()
-                .reconstruction
-                .code_image()
-                .clone()
-        })
-        .collect();
-
-    let mut session = DecodeSession::new();
-    session.delta_mode(25, 0);
-    let decoded = session.push_bytes(&enc.to_bytes()).unwrap();
-    assert_eq!(decoded.len(), frame_codes.len());
-    for (d, codes) in decoded.iter().zip(&frame_codes) {
-        assert_eq!(d.reconstruction.code_image(), codes);
-    }
 }
 
 /// Reconfiguring a session mid-stream takes effect from the next frame:
